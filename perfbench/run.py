@@ -1,45 +1,29 @@
 #!/usr/bin/env python3
 """rqvqa benchmark: one workload, one process, closed loop with one caller.
 
-    python3 perfbench/run.py --workload toy-corpus --seed 1 --seconds 20 \
+    python3 perfbench/run.py --workload toy-corpus --seed 1 --seconds 15 \
         --trace 0
 
 Run from the repository root. The program is imported from `src/`. The run
-generates its inputs from --seed (set-up, repeated at least SETUPS times and
-for SETUP_SECONDS), then repeats timed passes until --seconds have elapsed.
---trace 0 reports the end-to-end metrics of BENCHMARK.json; --trace 1
-alternates untraced and traced passes and reports the per-layer metrics,
-writing every span to .perfbench-out/. Every metric, gated or not, is also
-printed by name with its unit; the last stdout line is the JSON result.
+generates its inputs from --seed (set-up, repeated the workload's fixed
+number of times), then makes a fixed number of timed passes: --seconds over
+the workload's nominal pass time. --trace 0 reports the end-to-end metrics
+of BENCHMARK.json; --trace 1 follows each untraced pass with a traced one
+and reports the per-layer metrics, writing every span to .perfbench-out/.
+Every metric, gated or not, is also printed by name with its unit; the last
+stdout line is the JSON result.
 
 Workloads, metrics and their reasons are described in perfbench/README.md.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 
 # Pinned before numpy loads: the BLAS pool size is fixed per process.
 BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
-
-# glibc keeps freed memory mapped instead of returning it to the kernel.
-# Otherwise a toy-corpus pass takes ~600k minor page faults, whose cost on a
-# shared VM follows the host's memory pressure and tripled the spread of
-# pass times. The flip side: a change that only saves page faults won't show.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MALLOC = {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20}
-try:
-    _libc = ctypes.CDLL("libc.so.6")
-    _libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    _libc.mallopt.restype = ctypes.c_int
-    MALLOC["applied"] = bool(
-        _libc.mallopt(M_TRIM_THRESHOLD, MALLOC["trim_threshold"])
-        and _libc.mallopt(M_MMAP_THRESHOLD, MALLOC["mmap_threshold"]))
-except OSError:
-    MALLOC["applied"] = False
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -63,7 +47,7 @@ import numpy as np  # noqa: E402
 from spans import Tracer, layer_metrics  # noqa: E402
 from workloads import make_workloads  # noqa: E402
 
-SETUPS, SETUP_SECONDS = 3, 3.0
+MIN_PASSES = 2
 WORK_DIR = ROOT / ".perfbench-work"
 OUT_DIR = ROOT / ".perfbench-out"
 
@@ -72,10 +56,11 @@ OUT_DIR = ROOT / ".perfbench-out"
 # stage, so it is only printed here, and reported under --trace 1 (from the
 # untraced passes) with the per-layer metrics, under the name of the layer
 # entry point it times.
-E2E_UNITS = {"setup_s": "s", "total_s": "s", "total_s_fastest_pass": "s",
-             "total_s_median": "s", "load_videos_per_s": "1/s",
-             "train_samples_per_s": "1/s", "predict_ms_p50": "ms",
-             "predict_ms_p90": "ms", "predict_samples": "count",
+E2E_UNITS = {"setup_s": "s", "setup_s_median": "s", "total_s": "s",
+             "total_s_fastest_pass": "s", "total_s_median": "s",
+             "load_videos_per_s": "1/s", "train_samples_per_s": "1/s",
+             "predict_ms_p50": "ms", "predict_ms_p90": "ms",
+             "predict_samples": "count",
              "eval_rows_per_s": "1/s", "srcc": "1", "plcc_4pl": "1",
              "peak_rss_mb": "MB", "error_rate": "1", "passes": "count",
              "setups": "count"}
@@ -87,21 +72,13 @@ STAGE_LAYER_NAMES = {"load_videos_per_s": "harness.load_bundles.videos_per_s",
 
 
 def blas_info() -> dict:
-    """Name of the BLAS numpy links and, for OpenBLAS, its live pool size."""
+    """Name of the BLAS numpy links and its pinned thread count."""
     info = {"pinned_threads": BLAS_THREADS}
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         info["name"] = f"{deps['name']} {deps['version']}"
     except (KeyError, TypeError):
         info["name"] = "unknown"
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*")):
-        getter = getattr(ctypes.CDLL(str(lib)),
-                         "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            getter.argtypes = ()
-            getter.restype = ctypes.c_int
-            info["live_threads"] = getter()
     return info
 
 
@@ -117,7 +94,7 @@ def git_sha() -> str:
 def environment(args, workload) -> dict:
     return {"git_sha": git_sha(), "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas_info(), "malloc": MALLOC, "workload": args.workload, "seed": args.seed,
+            "blas": blas_info(), "workload": args.workload, "seed": args.seed,
             "seconds": args.seconds, "trace": args.trace,
             "loop": "closed, 1 client", "sizes": workload.sizes()}
 
@@ -128,14 +105,15 @@ def percentile(values, q: float) -> float:
     return ordered[max(0, int(np.ceil(q / 100.0 * len(ordered))) - 1)]
 
 
-def run_passes(workload, inputs, seed, reference, deadline, tracer=None):
-    """Alternate untraced and (with a tracer) traced passes until deadline.
+def run_passes(workload, inputs, seed, reference, n_passes, tracer=None):
+    """Make n_passes untraced passes, each followed (with a tracer) by a
+    traced one.
 
     Returns both pass lists and the number of passes that raised; the first
     one that raises ends the loop.
     """
     untraced, traced = [], []
-    while True:
+    for _ in range(n_passes):
         try:
             untraced.append(workload.run_pass(inputs, seed, reference))
             if tracer is not None:
@@ -148,16 +126,15 @@ def run_passes(workload, inputs, seed, reference, deadline, tracer=None):
         except Exception:
             traceback.print_exc()
             return untraced, traced, 1
-        if time.perf_counter() >= deadline:
-            return untraced, traced, 0
+    return untraced, traced, 0
 
 
-def best_pass_s(passes) -> float:
-    """A pass at the best speed seen: each timed unit's fastest time across
-    passes, summed. Short units (a chunk of videos loaded, one video
-    predicted) catch the fast stretches of a shared machine that a whole
-    multi-second pass rarely fits in."""
-    return float(np.sum(np.min([p.units for p in passes], axis=0)))
+def fastest_units_s(units) -> float:
+    """A repeat at the best speed seen: each timed unit's fastest time
+    across repeats, summed. Short units (a video generated, a chunk of
+    videos loaded, one video predicted) catch the fast stretches of a
+    shared machine that a whole multi-second repeat rarely fits in."""
+    return float(np.sum(np.min(units, axis=0)))
 
 
 def stage_metrics(passes) -> dict:
@@ -170,7 +147,7 @@ def stage_metrics(passes) -> dict:
 
     latencies = [x for p in passes for x in p.latencies_ms]
     return {
-        "total_s": best_pass_s(passes),
+        "total_s": fastest_units_s([p.units for p in passes]),
         "total_s_fastest_pass": min(p.total_s for p in passes),
         "total_s_median": statistics.median(p.total_s for p in passes),
         "load_videos_per_s": med("load_s", "loaded_videos"),
@@ -198,28 +175,26 @@ def main(argv=None) -> int:
 
     tracer = Tracer() if args.trace else None
     work = WORK_DIR / f"{args.workload}-{args.seed}-{os.getpid()}"
+    n_passes = max(MIN_PASSES, round(args.seconds / workload.pass_s))
     try:
-        setup_times, i, setup_start = [], 0, time.perf_counter()
-        while (i < SETUPS
-               or time.perf_counter() - setup_start < SETUP_SECONDS):
+        setup_units, setup_times = [], []
+        for i in range(workload.setups):
             inputs = work / f"setup{i}"
             if tracer is not None:
                 tracer.run_id = f"setup{i}"
                 tracer.install()
             try:
                 start = time.perf_counter()
-                workload.setup(inputs, args.seed)
+                setup_units.append(workload.setup(inputs, args.seed))
                 setup_times.append(time.perf_counter() - start)
             finally:
                 if tracer is not None:
                     tracer.uninstall()
             if i:
                 shutil.rmtree(work / f"setup{i - 1}")
-            i += 1
         reference = workload.reference(inputs)
-        deadline = time.perf_counter() + args.seconds
         untraced, traced, raised = run_passes(
-            workload, inputs, args.seed, reference, deadline, tracer)
+            workload, inputs, args.seed, reference, n_passes, tracer)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if not untraced or (tracer is not None and not traced):
@@ -234,7 +209,8 @@ def main(argv=None) -> int:
     failed = checks.count(False) + raised
 
     e2e = stage_metrics(untraced)
-    e2e["setup_s"] = statistics.median(setup_times)
+    e2e["setup_s"] = fastest_units_s(setup_units)
+    e2e["setup_s_median"] = statistics.median(setup_times)
     e2e["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                           / 1024.0)
     e2e["error_rate"] = failed / attempted
@@ -244,7 +220,7 @@ def main(argv=None) -> int:
         sizes = workload.sizes()
         metrics = layer_metrics(tracer, len(setup_times), len(traced),
                                 sizes.get("videos", 1), sizes.get("sources", 0))
-        traced_total = best_pass_s(traced)
+        traced_total = fastest_units_s([p.units for p in traced])
         metrics["trace.overhead_s"] = traced_total - e2e["total_s"]
         for key, name in STAGE_LAYER_NAMES.items():
             metrics[name] = e2e[key]

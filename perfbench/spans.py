@@ -63,6 +63,11 @@ def _train_counts(args, kwargs, result):
             "batches": cfg.epochs * -(-n // cfg.batch_size)}
 
 
+def _evaluate_counts(args, kwargs, result):
+    """A report whose 4PL map failed falls back to the raw PLCC."""
+    return {"fit_failed": int(result.fit_failed)}
+
+
 def _checkpoint_counts(args, kwargs, result):
     params = fusion.params_from_head(result[0])
     return {"bytes": 8 * sum(np.size(p) for p in params.values())}
@@ -94,8 +99,8 @@ TARGETS = (
     ("fusion.mhsa_pool", fusion, "mhsa_pool", None),
     ("fusion.save_checkpoint", fusion, "save_checkpoint", None),
     ("fusion.load_checkpoint", fusion, "load_checkpoint", _checkpoint_counts),
-    ("metrics.evaluate", metrics, "evaluate", None),
-    ("metrics.evaluate", cli, "evaluate", None),
+    ("metrics.evaluate", metrics, "evaluate", _evaluate_counts),
+    ("metrics.evaluate", cli, "evaluate", _evaluate_counts),
     ("metrics.rankdata", metrics, "rankdata", None),
     ("metrics.fit_4pl", metrics, "fit_4pl", None),
     ("metrics.pearson", metrics, "pearson", None),
@@ -155,14 +160,14 @@ class Tracer:
                 fh.write(json.dumps(dict(zip(keys, record))) + "\n")
 
     def totals(self, run_prefix: str):
-        """Per span name: calls, busy, self time, errors and summed counts,
-        over the runs whose id starts with run_prefix."""
+        """Per span name: calls, busy, self time and summed counts, over
+        the runs whose id starts with run_prefix."""
         child = defaultdict(float)
         for name, start, end, parent, run, _, _ in self.spans:
             if parent >= 0:
                 child[parent] += end - start
         out = defaultdict(lambda: defaultdict(float))
-        for i, (name, start, end, _, run, counts, error) in enumerate(
+        for i, (name, start, end, _, run, counts, _) in enumerate(
                 self.spans):
             if not run.startswith(run_prefix):
                 continue
@@ -170,7 +175,6 @@ class Tracer:
             agg["calls"] += 1
             agg["busy_s"] += end - start
             agg["self_s"] += end - start - child[i]
-            agg["errors"] += error is not None
             for key, value in (counts or {}).items():
                 agg[key] += value
         return out
@@ -242,5 +246,6 @@ def layer_metrics(tracer: Tracer, n_setups: int, n_passes: int,
     loads = per_pass("fusion.load_checkpoint", "calls")
     m["fusion.checkpoint.bytes"] = (
         per_pass("fusion.load_checkpoint", "bytes") / loads if loads else 0.0)
-    m["metrics.fit_4pl.fallbacks"] = per_pass("metrics.fit_4pl", "errors")
+    m["metrics.fit_4pl.fallbacks"] = per_pass("metrics.evaluate",
+                                              "fit_failed")
     return m

@@ -4,8 +4,12 @@ Every workload is a closed loop with a single caller that waits for each
 call to return. Inputs are written from the workload seed with the repo's
 own `synthetic` and `features.save_sidecar`; a pass sees only those files.
 
-A pass returns its stage times, its timed units in a fixed order, per-call
-latencies, quality and a list of (check name, passed) output checks.
+Set-up returns its timed units in a fixed order (one per generated video,
+or per chunk of CSV rows). A pass returns its stage times, its timed units in
+a fixed order, per-call latencies, quality and a list of (check name, passed)
+output checks. A workload also fixes how many set-ups a run makes, and the seconds
+it budgets per pass, which turn --seconds into a pass count, so that every
+commit takes the same number of draws whatever its speed.
 """
 
 from __future__ import annotations
@@ -25,6 +29,35 @@ TOY_EXTRACTION = features.ExtractionConfig(gms_grid_count=4, gms_patch_size=8,
                                            gms_seed=0)
 VIDEOS_PER_SCENE = 4
 LOAD_CHUNK = 10   # videos per timed `load_bundles` call
+CSV_CHUNK = 5000  # rows per timed write of the eval-csv set-up
+
+
+@contextlib.contextmanager
+def marked(module, *attrs: str):
+    """Swap each `module.attr`, in the namespace its caller looks it up in,
+    for a wrapper that appends the time each call returns to the yielded
+    list. The marks split one long call (a corpus, a training run, an
+    `rqvqa eval`) into short timed units."""
+    saved, marks = [(attr, getattr(module, attr)) for attr in attrs], []
+
+    def marking(fn):
+        def mark(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            marks.append(time.perf_counter())
+            return result
+        return mark
+
+    for attr, fn in saved:
+        setattr(module, attr, marking(fn))
+    try:
+        yield marks
+    finally:
+        for attr, fn in saved:
+            setattr(module, attr, fn)
+
+
+def intervals(start: float, marks: list[float], end: float) -> list[float]:
+    return np.diff([start, *marks, end]).tolist()
 
 
 @dataclass
@@ -52,6 +85,8 @@ class Pipeline:
     train: fusion.TrainConfig
     n_videos: int
     split_ratio: float
+    setups: int
+    pass_s: float   # seconds budgeted per pass; --seconds / pass_s passes
     min_quality: float | None = None   # held-out SRCC/PLCC floor, if checked
 
     def sizes(self) -> dict:
@@ -83,7 +118,8 @@ class Pipeline:
         by_id = {rec.video_id: pair
                  for rec, pair in zip(manifest.records, dataset)}
         train_set = [by_id[v] for v in plan.train_ids]
-        result = fusion.train(train_set, self.registry, cfg)
+        with marked(fusion, "adam_step") as steps:
+            result = fusion.train(train_set, self.registry, cfg)
         t_train = time.perf_counter()
         fusion.save_checkpoint(ckpt, result.head, cfg, master_seed=seed)
         head, _, _ = fusion.load_checkpoint(ckpt)
@@ -100,7 +136,7 @@ class Pipeline:
         preds = [scores[v] for v in plan.test_ids]
         report = metrics.evaluate(preds, [by_id[v][1] for v in plan.test_ids])
         t_end = time.perf_counter()
-        units += [t_train - t_load, t_ckpt - t_train]
+        units += intervals(t_load, steps, t_train) + [t_ckpt - t_train]
         units += [x / 1e3 for x in latencies] + [t_end - t_pred]
 
         in_memory = [fusion.video_forward(by_id[v][0], result.head)
@@ -131,11 +167,17 @@ class Pipeline:
 class ToyCorpus(Pipeline):
     """320 synthetic 64x64 clips, toy extractors, the acceptance config."""
 
-    def setup(self, inputs: Path, seed: int) -> None:
-        synthetic.make_synthetic_corpus(inputs, self.n_videos, seed)
+    def setup(self, inputs: Path, seed: int) -> list[float]:
+        """Units: each video up to its `save_raw_video`, then the
+        manifest."""
+        with marked(synthetic, "save_raw_video") as videos:
+            start = time.perf_counter()
+            synthetic.make_synthetic_corpus(inputs, self.n_videos, seed)
+            end = time.perf_counter()
+        return intervals(start, videos, end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BackboneCorpus(Pipeline):
     """Sidecar-only videos at backbone widths with a planted MOS signal.
 
@@ -145,19 +187,21 @@ class BackboneCorpus(Pipeline):
     SRCC stays well below 1, so a broken gradient shows.
     """
 
-    keyframes: int = 8
-    signal: float = 0.05
+    keyframes: int
+    signal: float
 
     def sizes(self) -> dict:
         return {**super().sizes(), "keyframes": self.keyframes}
 
-    def setup(self, inputs: Path, seed: int) -> None:
+    def setup(self, inputs: Path, seed: int) -> list[float]:
+        """Units: each video's rows and sidecars, then the manifest."""
         rng = np.random.default_rng(seed)
         sources = list(self.registry)
         direction = {s.name: rng.standard_normal(s.dim) for s in sources}
         shape = features.FeatureBundle(video_id="", n_keyframes=self.keyframes)
-        records = []
+        records, units = [], []
         for v in range(self.n_videos):
+            start = time.perf_counter()
             scene, k = divmod(v, VIDEOS_PER_SCENE)
             if k == 0:
                 content = {s.name: 0.5 * rng.standard_normal(s.dim)
@@ -176,8 +220,11 @@ class BackboneCorpus(Pipeline):
             records.append(harness.ManifestRecord(
                 video_id=video_id, path=str(path), mos=mos,
                 scene_id=f"scene{scene:04d}"))
+            units.append(time.perf_counter() - start)
+        start = time.perf_counter()
         harness.save_manifest(harness.DatasetManifest(records=records),
                               inputs / "manifest.csv")
+        return units + [time.perf_counter() - start]
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +260,31 @@ class _ReportCapture:
 class EvalCsv:
     name: str
     rows: int
+    setups: int
+    pass_s: float
 
     def sizes(self) -> dict:
         return {"rows": self.rows}
 
-    def setup(self, inputs: Path, seed: int) -> None:
+    def setup(self, inputs: Path, seed: int) -> list[float]:
+        """Units: drawing the columns, then each chunk of CSV_CHUNK rows."""
+        start = time.perf_counter()
         rng = np.random.default_rng(seed)
         mos = np.round(rng.uniform(1.0, 5.0, self.rows) * 4.0) / 4.0
         pred = 0.2 * mos + rng.normal(0.0, 0.15, self.rows)
         inputs.mkdir(parents=True, exist_ok=True)
+        units = [time.perf_counter() - start]
         with open(inputs / "scored.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["prediction", "mos"])
-            writer.writerows(zip((f"{p:.6f}" for p in pred),
-                                 (f"{m:.2f}" for m in mos)))
+            for i in range(0, self.rows, CSV_CHUNK):
+                start = time.perf_counter()
+                writer.writerows(
+                    zip((f"{p:.6f}" for p in pred[i:i + CSV_CHUNK]),
+                        (f"{m:.2f}" for m in mos[i:i + CSV_CHUNK])))
+                units.append(time.perf_counter() - start)
+        return units
 
     def reference(self, inputs: Path) -> dict:
         with open(inputs / "scored.csv", newline="", encoding="utf-8") as fh:
@@ -245,10 +302,11 @@ class EvalCsv:
         cli.evaluate = capture
         out = io.StringIO()
         try:
-            t0 = time.perf_counter()
-            with contextlib.redirect_stdout(out):
+            with (marked(metrics, "rankdata", "pearson", "fit_4pl") as marks,
+                  contextlib.redirect_stdout(out)):
+                t0 = time.perf_counter()
                 code = cli.main(["eval", "--pred", str(inputs / "scored.csv")])
-            t_end = time.perf_counter()
+                t_end = time.perf_counter()
         finally:
             cli.evaluate = capture.evaluate
         report = capture.report
@@ -265,7 +323,8 @@ class EvalCsv:
             ("eval_printed_srcc_matches_report",
              printed.get("srcc") == f"{report.srcc:.6f}"),
         ]
-        return PassResult(total_s=t_end - t0, units=[t_end - t0],
+        return PassResult(total_s=t_end - t0,
+                          units=intervals(t0, marks, t_end),
                           stages={"eval_s": t_end - t0,
                                   "eval_rows": report.n},
                           srcc=report.srcc, plcc_4pl=report.plcc_4pl, ops=1,
@@ -281,16 +340,17 @@ def make_workloads() -> dict:
                   fusion.TrainConfig(learning_rate=1e-4, batch_size=6,
                                      epochs=30, lr_decay_epoch=10,
                                      hidden=512),
-                  n_videos=320, split_ratio=0.8, min_quality=0.90),
+                  n_videos=320, split_ratio=0.8, setups=3, pass_s=3.75,
+                  min_quality=0.90),
         BackboneCorpus("backbone-vectors", features.backbone_registry(),
                        backbone_train, n_videos=120, split_ratio=0.5,
-                       keyframes=8, signal=0.07),
+                       setups=10, pass_s=5.0, keyframes=8, signal=0.07),
         BackboneCorpus("backbone-tokens",
                        features.backbone_registry(spatial_tokens=49),
                        replace(backbone_train, learning_rate=1e-3, epochs=1,
                                lr_decay_epoch=1),
-                       n_videos=100, split_ratio=0.3, keyframes=2,
-                       signal=0.08),
-        EvalCsv("eval-csv", rows=100_000),
+                       n_videos=100, split_ratio=0.3, setups=8, pass_s=7.0,
+                       keyframes=2, signal=0.08),
+        EvalCsv("eval-csv", rows=100_000, setups=20, pass_s=0.4),
     ]
     return {w.name: w for w in workloads}
