@@ -38,6 +38,10 @@ class SidecarChecksumError(SidecarError):
     """Payload checksum does not match the stored CRC32."""
 
 
+class SidecarNameError(SidecarError):
+    """Stored source name differs from the declared source."""
+
+
 class FeatureError(RqvqaError):
     """Feature bundle assembly or validation failure."""
 

@@ -31,6 +31,7 @@ from .errors import (
     FeatureError,
     SidecarChecksumError,
     SidecarMagicError,
+    SidecarNameError,
     SidecarShapeError,
     SidecarTruncatedError,
     SidecarVersionError,
@@ -245,7 +246,8 @@ def load_sidecar(path: str | Path,
     """Read an RQVF file; returns (name, granularity, token_count, matrix).
 
     The matrix is float32 exactly as stored. When `expect` is given, the
-    header must agree with the declared source.
+    header's name, dim, granularity and token count must agree with the
+    declared source.
     """
     data = Path(path).read_bytes()
     if len(data) < 8:
@@ -277,6 +279,9 @@ def load_sidecar(path: str | Path,
     matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
 
     if expect is not None:
+        if name != expect.name:
+            raise SidecarNameError(
+                f"{path}: holds source {name!r}, expected {expect.name!r}")
         if dim != expect.dim:
             raise SidecarShapeError(
                 f"{path}: dim mismatch (file {dim}, source {expect.dim})")

@@ -21,6 +21,7 @@ from .errors import CheckpointError, FeatureError, TrainingError
 from .features import FeatureBundle, SourceRegistry
 
 EPS_NORM = 1e-8  # stabilizer added to each norm in the correlation loss
+ADAM_BLOCK = 8192  # elements per in-place Adam block (64 KiB of float64)
 
 CHECKPOINT_MAGIC = b"RQVC"
 CHECKPOINT_VERSION = 1
@@ -163,57 +164,113 @@ _ACTIVATIONS = {"relu": (_relu, _relu_prime), "tanh": (np.tanh, _tanh_prime)}
 
 
 def mhsa_pool(tokens: np.ndarray, pool: MhsaPool) -> np.ndarray:
-    """Scaled dot-product self-attention over T tokens, then mean over T."""
-    out, _ = _mhsa_forward(tokens, pool)
-    return out
+    """Scaled dot-product self-attention over T tokens, then mean over T.
+
+    tokens is one (T, d) grid, giving (d,), or a stack of n grids (n, T, d),
+    giving (n, d); grids never attend to each other.
+    """
+    x = np.asarray(tokens)
+    if x.ndim == 2:
+        return _mhsa_forward(x[None], pool)[0][0]
+    return _mhsa_forward(x, pool)[0]
+
+
+def _join_heads(w: np.ndarray) -> np.ndarray:
+    """(heads, d, d_head) -> (d, heads * d_head), head-major columns."""
+    return w.transpose(1, 0, 2).reshape(w.shape[1], -1)
 
 
 def _mhsa_forward(tokens: np.ndarray, pool: MhsaPool):
+    """Mean-pooled attention of n stacked (T, d) grids -> (n, d), and the
+    cache for _mhsa_backward.
+
+    The mean over query tokens is taken first: mean_t(A X Wv) Wo equals
+    ((mean_t A) X) Wv Wo, so neither per-token values nor the T x d output
+    product are formed. Q and K take one GEMM each over all n * T tokens.
+    """
     x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != pool.dim:
+    if x.ndim != 3 or x.shape[2] != pool.dim:
         raise TrainingError(
-            f"token grid {x.shape} does not match attention dim {pool.dim}")
+            f"token grids {x.shape} do not match attention dim {pool.dim}")
     if not np.all(np.isfinite(x)):
         raise TrainingError("non-finite token grid")
-    d_head = pool.wq.shape[2]
+    n, t, d = x.shape
+    heads, d_head = pool.head_count, pool.wq.shape[2]
     scale = 1.0 / np.sqrt(d_head)
-    heads = []
-    cache = []
-    for h in range(pool.head_count):
-        q = x @ pool.wq[h]
-        k = x @ pool.wk[h]
-        v = x @ pool.wv[h]
-        scores = (q @ k.T) * scale
-        scores -= scores.max(axis=1, keepdims=True)  # stable softmax
-        e = np.exp(scores)
-        attn = e / e.sum(axis=1, keepdims=True)
-        heads.append(attn @ v)
-        cache.append((q, k, v, attn))
-    concat = np.concatenate(heads, axis=1)
-    y = concat @ pool.wo
-    return y.mean(axis=0), (x, concat, cache, scale)
+    flat = x.reshape(n * t, d)
+    q = (flat @ _join_heads(pool.wq)).reshape(n, t, heads, d_head)
+    k = (flat @ _join_heads(pool.wk)).reshape(n, t, heads, d_head)
+    # (n, heads, T, d_head) views
+    q, k = q.transpose(0, 2, 1, 3), k.transpose(0, 2, 1, 3)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores -= scores.max(axis=3, keepdims=True)  # stable softmax
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=3, keepdims=True)
+    ctx = attn.mean(axis=2) @ x                  # (n, heads, d)
+    concat = (ctx.transpose(1, 0, 2) @ pool.wv).transpose(1, 0, 2)
+    concat = concat.reshape(n, d)
+    return concat @ pool.wo, (x, q, k, attn, ctx, concat, scale)
 
 
-def _mhsa_backward(grad_pooled: np.ndarray, pool: MhsaPool, cache, grads):
-    """Accumulate wq/wk/wv/wo gradients for one token grid."""
-    x, concat, head_cache, scale = cache
-    t = x.shape[0]
-    d_head = pool.wq.shape[2]
-    dy = np.repeat(grad_pooled[None, :] / t, t, axis=0)
+def _mhsa_backward(dy: np.ndarray, pool: MhsaPool, cache, grads):
+    """Accumulate wq/wk/wv/wo gradients from dy, the (n, d) gradient of the
+    pooled outputs, with one GEMM per weight over all n grids."""
+    x, q, k, attn, ctx, concat, scale = cache
+    n, t, d = x.shape
+    heads, d_head = pool.head_count, pool.wq.shape[2]
     grads["wo"] += concat.T @ dy
-    dconcat = dy @ pool.wo.T
-    for h in range(pool.head_count):
-        q, k, v, attn = head_cache[h]
-        dhead = dconcat[:, h * d_head:(h + 1) * d_head]
-        dattn = dhead @ v.T
-        dv = attn.T @ dhead
-        # softmax Jacobian row-wise: a * (g - (a . g))
-        dscores = attn * (dattn - (attn * dattn).sum(axis=1, keepdims=True))
-        dq = dscores @ k * scale
-        dk = dscores.T @ q * scale
-        grads["wq"][h] += x.T @ dq
-        grads["wk"][h] += x.T @ dk
-        grads["wv"][h] += x.T @ dv
+    dhead = (dy @ pool.wo.T).reshape(n, heads, d_head).transpose(1, 0, 2)
+    grads["wv"] += ctx.transpose(1, 2, 0) @ dhead
+    dctx = (dhead @ pool.wv.transpose(0, 2, 1)).transpose(1, 0, 2)
+    # every query row of A receives the same gradient, d(mean_t A) / T
+    g = (dctx @ x.transpose(0, 2, 1)) / t        # (n, heads, T)
+    # softmax Jacobian row-wise: a * (g - (a . g))
+    dscores = attn * (g[:, :, None, :] - attn @ g[..., None])
+    dscores *= scale
+    flat_t = x.reshape(n * t, d).T
+    for key, a, b in (("wq", dscores, k),
+                      ("wk", dscores.transpose(0, 1, 3, 2), q)):
+        # (n, heads, T, d_head) -> (n * T, d) in _join_heads column order
+        dproj = (a @ b).transpose(0, 2, 1, 3).reshape(n * t, d)
+        grads[key] += (flat_t @ dproj).reshape(
+            d, heads, d_head).transpose(1, 0, 2)
+
+
+def _source(bundle: FeatureBundle, entry: LayoutEntry) -> np.ndarray:
+    if entry.name not in bundle.matrices:
+        raise FeatureError(f"missing source {entry.name!r}")
+    return bundle.matrices[entry.name]
+
+
+def _token_grids(bundle: FeatureBundle, layout: ConcatLayout,
+                 pool: MhsaPool | None) -> np.ndarray | None:
+    """(N_z, T, d) view of the bundle's token source, None without one."""
+    entry = layout.token_entry()
+    if entry is None:
+        return None
+    if pool is None:
+        raise TrainingError(
+            f"source {entry.name!r} is a token grid and needs an attention "
+            f"pool")
+    return _source(bundle, entry).reshape(
+        bundle.n_keyframes, entry.token_count, entry.dim)
+
+
+def _fuse(bundle: FeatureBundle, layout: ConcatLayout, rows: slice,
+          pooled: np.ndarray | None) -> np.ndarray:
+    """Fused vectors of key-frame indices `rows`, segments in layout order;
+    pooled holds the pooled token rows of those indices."""
+    n = rows.stop - rows.start
+    parts = []
+    for entry in layout.entries:
+        mat = _source(bundle, entry)
+        if entry.granularity == "video":
+            parts.append(np.broadcast_to(mat[0], (n, entry.dim)))
+        elif entry.granularity == "tokens":
+            parts.append(pooled)
+        else:
+            parts.append(mat[rows])
+    return np.concatenate(parts, axis=1)
 
 
 def concat_features(bundle: FeatureBundle, layout: ConcatLayout, i: int,
@@ -222,23 +279,9 @@ def concat_features(bundle: FeatureBundle, layout: ConcatLayout, i: int,
     if not 0 <= i < bundle.n_keyframes:
         raise FeatureError(
             f"index {i} out of range for N_z={bundle.n_keyframes}")
-    parts = []
-    for entry in layout.entries:
-        if entry.name not in bundle.matrices:
-            raise FeatureError(f"missing source {entry.name!r}")
-        mat = bundle.matrices[entry.name]
-        if entry.granularity == "video":
-            parts.append(mat[0])
-        elif entry.granularity == "tokens":
-            if pool is None:
-                raise TrainingError(
-                    f"source {entry.name!r} is a token grid and needs an "
-                    f"attention pool")
-            tok = mat.reshape(bundle.n_keyframes, entry.token_count, entry.dim)
-            parts.append(mhsa_pool(tok[i], pool))
-        else:
-            parts.append(mat[i])
-    return np.concatenate(parts)
+    grids = _token_grids(bundle, layout, pool)
+    pooled = None if grids is None else mhsa_pool(grids[i:i + 1], pool)
+    return _fuse(bundle, layout, slice(i, i + 1), pooled)[0]
 
 
 def mlp_forward(f: np.ndarray, head: MlpHead) -> float:
@@ -265,11 +308,12 @@ def pool_scores(scores) -> float:
 
 
 def video_forward(bundle: FeatureBundle, head: FusionHead) -> float:
-    """Predicted quality score for one video: fuse, score, average."""
-    scores = [mlp_forward(concat_features(bundle, head.layout, i, head.pool),
-                          head.mlp)
-              for i in range(bundle.n_keyframes)]
-    return pool_scores(scores)
+    """Predicted quality score for one video: pool all its token grids in
+    one call, fuse, score each key-frame index, average."""
+    grids = _token_grids(bundle, head.layout, head.pool)
+    pooled = None if grids is None else mhsa_pool(grids, head.pool)
+    feats = _fuse(bundle, head.layout, slice(0, bundle.n_keyframes), pooled)
+    return pool_scores([mlp_forward(f, head.mlp) for f in feats])
 
 
 # ---------------------------------------------------------------------------
@@ -352,55 +396,49 @@ def params_from_head(head: FusionHead) -> dict[str, np.ndarray]:
     return params
 
 
-def backprop(batch, head: FusionHead, loss: str = "plcc"):
+def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     """Loss and exact parameter gradients for one mini-batch.
 
     batch is a sequence of (FeatureBundle, mos). Gradients flow through the
-    score averaging, the MLP, and the attention pool when one is present.
+    score averaging, the MLP, and the attention pool when one is present;
+    the token grids of every key frame in the batch are pooled in one call.
+    grads, if given, is a dict shaped like the parameters that is zeroed and
+    filled in place of a fresh one: `train` reuses one across steps, which
+    saves allocating and page-faulting a parameter-sized dict per step.
     """
     loss_fn, loss_grad_fn = _LOSSES[loss]
     act, act_prime = _ACTIVATIONS[head.mlp.activation]
     layout, mlp, pool = head.layout, head.mlp, head.pool
     token = layout.token_entry()
-    token_slice = layout.slices()[token.name] if token else None
 
+    pooled = [None] * len(batch)
+    if token is not None:
+        grids = [_token_grids(bundle, layout, pool) for bundle, _ in batch]
+        stacked, mhsa_cache = _mhsa_forward(np.concatenate(grids), pool)
+        pooled = np.split(stacked, np.cumsum([len(g) for g in grids])[:-1])
     preds = np.empty(len(batch))
     targets = np.empty(len(batch))
     caches = []
     for vi, (bundle, mos) in enumerate(batch):
-        n_z = bundle.n_keyframes
-        feats = np.empty((n_z, layout.total_dim))
-        mhsa_caches = []
-        for i in range(n_z):
-            if token and pool is not None:
-                # build the vector manually so the attention cache is kept
-                parts, tok_cache = [], None
-                for entry in layout.entries:
-                    mat = bundle.matrices[entry.name]
-                    if entry.granularity == "video":
-                        parts.append(mat[0])
-                    elif entry.granularity == "tokens":
-                        tok = mat.reshape(n_z, entry.token_count, entry.dim)
-                        pooled, tok_cache = _mhsa_forward(tok[i], pool)
-                        parts.append(pooled)
-                    else:
-                        parts.append(mat[i])
-                feats[i] = np.concatenate(parts)
-                mhsa_caches.append(tok_cache)
-            else:
-                feats[i] = concat_features(bundle, layout, i, pool)
+        feats = _fuse(bundle, layout, slice(0, bundle.n_keyframes),
+                      pooled[vi])
         z = feats @ mlp.w1 + mlp.b1
         a = act(z)
         scores = a @ mlp.w2 + mlp.b2
         preds[vi] = scores.mean()
         targets[vi] = mos
-        caches.append((feats, z, a, mhsa_caches))
+        caches.append((feats, z, a))
 
     loss_value = loss_fn(preds, targets)
     dpred = loss_grad_fn(preds, targets)
 
-    grads = _zeros_like_params(params_from_head(head))
-    for vi, (feats, z, a, mhsa_caches) in enumerate(caches):
+    if grads is None:
+        grads = _zeros_like_params(params_from_head(head))
+    else:
+        for g in grads.values():
+            g.fill(0.0)
+    dzs = []
+    for vi, (feats, z, a) in enumerate(caches):
         n_z = feats.shape[0]
         u = dpred[vi] / n_z                      # upstream per index score
         grads["w2"] += u * a.sum(axis=0)
@@ -408,11 +446,11 @@ def backprop(batch, head: FusionHead, loss: str = "plcc"):
         dz = (u * mlp.w2) * act_prime(z)         # (n_z, hidden)
         grads["w1"] += feats.T @ dz
         grads["b1"] += dz.sum(axis=0)
-        if token and pool is not None:
-            dfeats = dz @ mlp.w1.T
-            for i in range(n_z):
-                _mhsa_backward(dfeats[i, token_slice], pool, mhsa_caches[i],
-                               grads)
+        dzs.append(dz)
+    if token is not None:
+        w1_token = mlp.w1[layout.slices()[token.name]]
+        _mhsa_backward(np.concatenate(dzs) @ w1_token.T, pool, mhsa_cache,
+                       grads)
     return loss_value, grads
 
 
@@ -432,7 +470,14 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
               epoch: int = 0):
-    """One bias-corrected Adam update; lr drops once epoch >= lr_decay_epoch."""
+    """One bias-corrected Adam update; lr drops once epoch >= lr_decay_epoch.
+
+    params, state.m and state.v are updated in place and returned as
+    (params, state). Each element goes through the same operations, in the
+    same order, as p - lr * m_hat / (sqrt(v_hat) + eps) with
+    m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g,
+    so the result is bit-identical to that out-of-place formula.
+    """
     if t < 1:
         raise TrainingError(f"step index must be >= 1, got {t}")
     for k, g in grads.items():
@@ -441,16 +486,39 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
     lr = cfg.learning_rate
     if epoch >= cfg.lr_decay_epoch:
         lr /= cfg.lr_decay_factor
-    new_params, new_m, new_v = {}, {}, {}
-    for k in params:
-        g = grads[k]
-        m = cfg.beta1 * state.m[k] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[k] + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        new_params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        new_m[k], new_v[k] = m, v
-    return new_params, AdamState(m=new_m, v=new_v)
+    bias1, bias2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+    for k, p in params.items():
+        # blocks of ADAM_BLOCK elements keep the scratch buffers small, so no
+        # large temporary is allocated (and page-faulted in) on every step
+        blocks = np.nditer(
+            [p, grads[k], state.m[k], state.v[k]],
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readwrite"], ["readonly"], ["readwrite"],
+                      ["readwrite"]],
+            buffersize=ADAM_BLOCK)
+        with blocks:
+            for block in blocks:
+                _adam_update(*block, lr, bias1, bias2, cfg)
+    return params, state
+
+
+def _adam_update(p, g, m, v, lr, bias1, bias2, cfg: TrainConfig):
+    """Adam update of one block of p, m and v, in place."""
+    tmp, step = np.empty_like(p), np.empty_like(p)
+    np.multiply(1.0 - cfg.beta1, g, out=tmp)
+    m *= cfg.beta1
+    m += tmp
+    np.multiply(1.0 - cfg.beta2, g, out=tmp)
+    tmp *= g
+    v *= cfg.beta2
+    v += tmp
+    np.divide(v, bias2, out=tmp)                 # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += cfg.eps
+    np.divide(m, bias1, out=step)                # m_hat
+    step *= lr
+    step /= tmp
+    p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +585,7 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     params = init_params(layout, cfg, rng)
     state = AdamState.zeros(params)
+    grads = _zeros_like_params(params)
     trace = TrainTrace()
     t = 0
     for epoch in range(cfg.epochs):
@@ -534,10 +603,10 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
                 continue
             head = _head_from_params(layout, params, cfg.activation,
                                      cfg.mhsa_heads)
-            loss_value, grads = backprop(batch, head, loss=cfg.loss)
+            loss_value, _ = backprop(batch, head, loss=cfg.loss,
+                                     grads=grads)
             t += 1
-            params, state = adam_step(params, grads, state, t, cfg,
-                                      epoch=epoch)
+            adam_step(params, grads, state, t, cfg, epoch=epoch)
             losses.append(loss_value)
         trace.epoch_losses.append(float(np.mean(losses)) if losses
                                   else float("nan"))

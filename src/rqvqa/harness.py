@@ -197,11 +197,14 @@ def _check_layout(expected: ConcatLayout, found: ConcatLayout) -> None:
 
 
 def write_predictions(rows, path: str | Path) -> Path:
+    """CSV of (video_id, score) with six-decimal scores; ids holding a comma,
+    quote or newline are quoted, so the file reads back with csv.reader."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(PREDICTION_HEADER)]
-    lines += [f"{vid},{score:.6f}" for vid, score in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PREDICTION_HEADER)
+        writer.writerows([vid, f"{score:.6f}"] for vid, score in rows)
     return path
 
 

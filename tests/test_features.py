@@ -5,6 +5,7 @@ from rqvqa.errors import (
     FeatureError,
     SidecarChecksumError,
     SidecarMagicError,
+    SidecarNameError,
     SidecarShapeError,
     SidecarTruncatedError,
     SidecarVersionError,
@@ -87,6 +88,14 @@ class TestSidecarRoundTrip:
         path.write_bytes(bytes(data))
         with pytest.raises(SidecarVersionError):
             load_sidecar(path)
+
+    def test_name_mismatch_against_declared_source(self, tmp_path):
+        alpha = FeatureSource("alpha", "keyframe", 6)
+        path = save_sidecar(alpha, np.ones((3, 6), dtype=np.float32),
+                            tmp_path / "beta.rqvf")
+        beta = FeatureSource("beta", "keyframe", 6)
+        with pytest.raises(SidecarNameError, match="'alpha'"):
+            load_sidecar(path, expect=beta)
 
     def test_dim_mismatch_against_declared_source(self, tmp_path):
         src = keyframe_source(dim=6)

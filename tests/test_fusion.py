@@ -97,6 +97,15 @@ class TestMhsaPool:
         with pytest.raises(TrainingError):
             mhsa_pool(np.zeros((3, 7)), pool)
 
+    def test_stacked_grids_pool_independently(self):
+        pool = make_pool()
+        grids = np.random.default_rng(5).standard_normal((3, 4, 8))
+        out = mhsa_pool(grids, pool)
+        assert out.shape == (3, 8)
+        for i in range(3):
+            np.testing.assert_allclose(out[i], oracle_mhsa(grids[i], pool),
+                                       atol=1e-12)
+
 
 def toy_layout():
     return ConcatLayout(entries=(
@@ -305,6 +314,19 @@ class TestBackprop:
         targets = [m for _, m in batch]
         assert loss_value == pytest.approx(plcc_loss(preds, targets))
 
+    def test_reused_gradient_buffers_are_overwritten(self):
+        registry = token_registry()
+        layout = ConcatLayout.from_registry(registry)
+        head = build_head(layout, TrainConfig(hidden=8, mhsa_heads=2), seed=5)
+        batch = [(token_bundle(seed=i, video_id=f"v{i}"), float(i))
+                 for i in range(4)]
+        _, fresh = backprop(batch, head)
+        stale = {k: np.full_like(g, 7.0) for k, g in fresh.items()}
+        _, reused = backprop(batch, head, grads=stale)
+        assert reused is stale
+        for k, g in fresh.items():
+            np.testing.assert_array_equal(reused[k], g)
+
     def test_mse_loss_path(self):
         layout = toy_layout()
         cfg = TrainConfig(hidden=5, loss="mse")
@@ -317,14 +339,31 @@ class TestBackprop:
         assert set(grads) == {"w1", "b1", "w2", "b2"}
 
 
+def textbook_adam(params, grads, m, v, t, cfg, epoch):
+    """Out-of-place reference: fresh arrays, nothing mutated."""
+    lr = cfg.learning_rate
+    if epoch >= cfg.lr_decay_epoch:
+        lr /= cfg.lr_decay_factor
+    new_p, new_m, new_v = {}, {}, {}
+    for k in params:
+        g = grads[k]
+        new_m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+        new_v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+        m_hat = new_m[k] / (1.0 - cfg.beta1 ** t)
+        v_hat = new_v[k] / (1.0 - cfg.beta2 ** t)
+        new_p[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return new_p, new_m, new_v
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
+        before = params["w"].copy()
         grads = {"w": np.zeros(2)}
         cfg = TrainConfig()
         new_params, _ = adam_step(params, grads, AdamState.zeros(params),
                                   t=1, cfg=cfg)
-        np.testing.assert_array_equal(new_params["w"], params["w"])
+        np.testing.assert_array_equal(new_params["w"], before)
         # existing moments decay toward zero under further zero gradients
         state = AdamState.zeros(params)
         state.m["w"][:] = 0.5
@@ -332,6 +371,19 @@ class TestAdam:
         _, new_state = adam_step(params, grads, state, t=2, cfg=cfg)
         assert np.all(np.abs(new_state.m["w"]) < 0.5)
         assert np.all(new_state.v["w"] < 0.5)
+
+    def test_updates_in_place(self):
+        params = {"w": np.array([1.0, -2.0]), "b": np.zeros(())}
+        grads = {"w": np.array([0.5, 0.25]), "b": np.asarray(-1.0)}
+        state = AdamState.zeros(params)
+        arrays = [params["w"], params["b"], state.m["w"], state.v["b"]]
+        new_params, new_state = adam_step(params, grads, state, t=1,
+                                          cfg=TrainConfig(learning_rate=1e-3))
+        assert new_params is params and new_state is state
+        after = [params["w"], params["b"], state.m["w"], state.v["b"]]
+        assert all(a is b for a, b in zip(arrays, after))
+        assert np.all(params["w"] < [1.0, -2.0]) and params["b"] > 0.0
+        np.testing.assert_array_equal(grads["w"], [0.5, 0.25])
 
     def test_single_step_from_zero_state(self):
         g = np.array([0.3, -2.0, 0.0001])
@@ -350,9 +402,37 @@ class TestAdam:
                                t=1, cfg=cfg, epoch=10)
         # effective lr 1e-6 once epoch >= 10
         assert stepped["w"][0] == pytest.approx(-1e-6, rel=1e-6)
+        params = {"w": np.zeros(1)}
         stepped, _ = adam_step(params, {"w": g}, AdamState.zeros(params),
                                t=1, cfg=cfg, epoch=9)
         assert stepped["w"][0] == pytest.approx(-1e-5, rel=1e-6)
+
+    def test_bit_identical_to_out_of_place_formula(self):
+        rng = np.random.default_rng(11)
+        shapes = {"w1": (7, 5), "b1": (5,), "b2": ()}
+        # weights on the scale of one step, so a last-bit change in the
+        # step survives the subtraction
+        params = {k: np.asarray(rng.standard_normal(s) * 1e-3)
+                  for k, s in shapes.items()}
+        # a column-major tensor must be updated in place all the same
+        params["w1"] = np.asfortranarray(params["w1"])
+        cfg = TrainConfig(learning_rate=3e-3, epochs=4, lr_decay_epoch=2)
+        state = AdamState.zeros(params)
+        ref_p = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: m.copy() for k, m in state.m.items()}
+        ref_v = {k: v.copy() for k, v in state.v.items()}
+        # steps 1-2 before the decay epoch, 3-4 after it
+        for t, epoch in ((1, 0), (2, 1), (3, 2), (4, 3)):
+            grads = {k: rng.standard_normal(s) * 10.0 ** -t
+                     for k, s in shapes.items()}
+            grads["b2"] = np.asarray(grads["b2"])
+            ref_p, ref_m, ref_v = textbook_adam(ref_p, grads, ref_m, ref_v,
+                                                t, cfg, epoch)
+            adam_step(params, grads, state, t, cfg, epoch=epoch)
+            for k in shapes:
+                assert params[k].tobytes() == ref_p[k].tobytes()
+                assert state.m[k].tobytes() == ref_m[k].tobytes()
+                assert state.v[k].tobytes() == ref_v[k].tobytes()
 
     def test_non_finite_gradient_rejected(self):
         params = {"w": np.zeros(1)}
@@ -461,12 +541,27 @@ class TestAttentionPoolTraining:
         result = train(samples, registry, cfg)
         assert result.head.pool is not None
         assert result.trace.steps > 0
-        # checkpoint round trip preserves predictions exactly
+        # checkpoint round trip preserves predictions bit for bit
         path = save_checkpoint(tmp_path / "m.ckpt", result.head, cfg, 0)
         loaded, _, _ = load_checkpoint(path)
-        for bundle, _ in samples[:3]:
-            assert video_forward(bundle, loaded) == pytest.approx(
-                video_forward(bundle, result.head), abs=0)
+        in_memory = [video_forward(b, result.head) for b, _ in samples]
+        reloaded = [video_forward(b, loaded) for b, _ in samples]
+        assert np.array(reloaded).tobytes() == np.array(in_memory).tobytes()
+
+    def test_video_forward_matches_per_keyframe_oracle(self):
+        registry = token_registry()
+        layout = ConcatLayout.from_registry(registry)
+        cfg = TrainConfig(hidden=8, mhsa_heads=2)
+        head = build_head(layout, cfg, seed=8)
+        bundle = token_bundle(n_z=4, seed=9)
+        grids = bundle.matrices["spatial_tokens"].reshape(4, 4, 8)
+        scores = []
+        for i in range(4):
+            f = np.concatenate([oracle_mhsa(grids[i], head.pool),
+                                bundle.matrices["motionstats"][i]])
+            hidden = np.maximum(head.mlp.w1.T @ f + head.mlp.b1, 0.0)
+            scores.append(head.mlp.w2 @ hidden + head.mlp.b2)
+        assert abs(video_forward(bundle, head) - np.mean(scores)) < 1e-12
 
     def test_pool_params_receive_gradient(self):
         registry = token_registry()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,18 @@ class TestPredict:
         assert len(lines) == len(manifest) + 1
         score = lines[1].split(",")[1]
         assert len(score.split(".")[1]) == 6  # six decimal places
+
+    def test_awkward_ids_round_trip(self, tmp_path):
+        rows = [("plain", 1.0), ("a,b", 2.5), ('say "hi"', -0.125),
+                ("two\nlines", 3.0)]
+        path = write_predictions(rows, tmp_path / "p.csv")
+        with path.open(newline="", encoding="utf-8") as fh:
+            read = list(csv.reader(fh))
+        assert read[0] == ["video_id", "score"]
+        assert [(vid, float(score)) for vid, score in read[1:]] == rows
+        # plain ids are written unquoted, one "\n"-terminated line each
+        assert path.read_bytes().startswith(
+            b"video_id,score\nplain,1.000000\n")
 
     def test_single_keyframe_video_scores_its_only_index(self, tmp_path):
         from rqvqa.preproc import VideoFrames
