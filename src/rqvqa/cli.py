@@ -150,17 +150,26 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     pred, mos = [], []
+    first = True
     with open(args.pred, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             if len(row) < 2:
                 raise ManifestError(f"{args.pred}: expected 2 columns")
             try:
-                pred.append(float(row[0]))
-                mos.append(float(row[1]))
+                p, m = float(row[0]), float(row[1])
             except ValueError:
-                continue  # header row
+                if not first:  # only the first non-empty row is a header
+                    raise ManifestError(
+                        f"{args.pred}:{reader.line_num}: non-numeric row "
+                        f"{row[:2]}") from None
+                first = False
+                continue
+            first = False
+            pred.append(p)
+            mos.append(m)
     report = evaluate(pred, mos)
     lines = [f"srcc={report.srcc:.6f}",
              f"plcc_raw={report.plcc_raw:.6f}",

@@ -213,14 +213,14 @@ def _mhsa_forward(tokens: np.ndarray, pool: MhsaPool):
 
 
 def _mhsa_backward(dy: np.ndarray, pool: MhsaPool, cache, grads):
-    """Accumulate wq/wk/wv/wo gradients from dy, the (n, d) gradient of the
+    """Write the wq/wk/wv/wo gradients from dy, the (n, d) gradient of the
     pooled outputs, with one GEMM per weight over all n grids."""
     x, q, k, attn, ctx, concat, scale = cache
     n, t, d = x.shape
     heads, d_head = pool.head_count, pool.wq.shape[2]
-    grads["wo"] += concat.T @ dy
+    np.matmul(concat.T, dy, out=grads["wo"])
     dhead = (dy @ pool.wo.T).reshape(n, heads, d_head).transpose(1, 0, 2)
-    grads["wv"] += ctx.transpose(1, 2, 0) @ dhead
+    np.matmul(ctx.transpose(1, 2, 0), dhead, out=grads["wv"])
     dctx = (dhead @ pool.wv.transpose(0, 2, 1)).transpose(1, 0, 2)
     # every query row of A receives the same gradient, d(mean_t A) / T
     g = (dctx @ x.transpose(0, 2, 1)) / t        # (n, heads, T)
@@ -232,14 +232,19 @@ def _mhsa_backward(dy: np.ndarray, pool: MhsaPool, cache, grads):
                       ("wk", dscores.transpose(0, 1, 3, 2), q)):
         # (n, heads, T, d_head) -> (n * T, d) in _join_heads column order
         dproj = (a @ b).transpose(0, 2, 1, 3).reshape(n * t, d)
-        grads[key] += (flat_t @ dproj).reshape(
+        grads[key][...] = (flat_t @ dproj).reshape(
             d, heads, d_head).transpose(1, 0, 2)
 
 
 def _source(bundle: FeatureBundle, entry: LayoutEntry) -> np.ndarray:
     if entry.name not in bundle.matrices:
         raise FeatureError(f"missing source {entry.name!r}")
-    return bundle.matrices[entry.name]
+    mat = bundle.matrices[entry.name]
+    if mat.ndim != 2 or mat.shape[1] != entry.dim:
+        raise TrainingError(
+            f"source {entry.name!r} has shape {mat.shape}, layout width "
+            f"{entry.dim}")
+    return mat
 
 
 def _token_grids(bundle: FeatureBundle, layout: ConcatLayout,
@@ -284,17 +289,29 @@ def concat_features(bundle: FeatureBundle, layout: ConcatLayout, i: int,
     return _fuse(bundle, layout, slice(i, i + 1), pooled)[0]
 
 
-def mlp_forward(f: np.ndarray, head: MlpHead) -> float:
-    """Scalar score for one fused feature vector."""
-    f = np.asarray(f, dtype=np.float64)
+def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
+    """Scores of n stacked fused rows (n, D) with one GEMM per layer.
+
+    Returns (z, a, scores): pre-activations and activations (n, hidden), and
+    the (n,) row scores. Training, prediction and mlp_forward all score rows
+    here.
+    """
+    f = np.asarray(feats, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] != mlp.w1.shape[0]:
+        raise TrainingError(
+            f"feature rows {f.shape} do not match head input width "
+            f"{mlp.w1.shape[0]}")
     if not np.all(np.isfinite(f)):
         raise TrainingError("non-finite feature vector")
-    if f.shape != (head.w1.shape[0],):
-        raise TrainingError(
-            f"feature vector {f.shape} does not match head input "
-            f"({head.w1.shape[0]},)")
-    act, _ = _ACTIVATIONS[head.activation]
-    return float(head.w2 @ act(head.w1.T @ f + head.b1) + head.b2)
+    act, _ = _ACTIVATIONS[mlp.activation]
+    z = f @ mlp.w1 + mlp.b1
+    a = act(z)
+    return z, a, a @ mlp.w2 + mlp.b2
+
+
+def mlp_forward(f: np.ndarray, head: MlpHead) -> float:
+    """Scalar score for one fused feature vector."""
+    return float(_mlp_scores(np.asarray(f)[None], head)[2][0])
 
 
 def pool_scores(scores) -> float:
@@ -309,11 +326,11 @@ def pool_scores(scores) -> float:
 
 def video_forward(bundle: FeatureBundle, head: FusionHead) -> float:
     """Predicted quality score for one video: pool all its token grids in
-    one call, fuse, score each key-frame index, average."""
+    one call, fuse, score all key-frame rows in one MLP pass, average."""
     grids = _token_grids(bundle, head.layout, head.pool)
     pooled = None if grids is None else mhsa_pool(grids, head.pool)
     feats = _fuse(bundle, head.layout, slice(0, bundle.n_keyframes), pooled)
-    return pool_scores([mlp_forward(f, head.mlp) for f in feats])
+    return pool_scores(_mlp_scores(feats, head.mlp)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +417,16 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     """Loss and exact parameter gradients for one mini-batch.
 
     batch is a sequence of (FeatureBundle, mos). Gradients flow through the
-    score averaging, the MLP, and the attention pool when one is present;
-    the token grids of every key frame in the batch are pooled in one call.
-    grads, if given, is a dict shaped like the parameters that is zeroed and
-    filled in place of a fresh one: `train` reuses one across steps, which
-    saves allocating and page-faulting a parameter-sized dict per step.
+    score averaging, the MLP, and the attention pool when one is present.
+    The fused rows of every video are stacked, so the MLP forward and each
+    weight gradient are one GEMM over the mini-batch, and the token grids of
+    every key frame are pooled in one call. grads, if given, is a dict
+    shaped like the parameters that is overwritten in place of a fresh one:
+    `train` reuses one across steps, which saves allocating and
+    page-faulting a parameter-sized dict per step.
     """
     loss_fn, loss_grad_fn = _LOSSES[loss]
-    act, act_prime = _ACTIVATIONS[head.mlp.activation]
+    _, act_prime = _ACTIVATIONS[head.mlp.activation]
     layout, mlp, pool = head.layout, head.mlp, head.pool
     token = layout.token_entry()
 
@@ -416,41 +435,31 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
         grids = [_token_grids(bundle, layout, pool) for bundle, _ in batch]
         stacked, mhsa_cache = _mhsa_forward(np.concatenate(grids), pool)
         pooled = np.split(stacked, np.cumsum([len(g) for g in grids])[:-1])
-    preds = np.empty(len(batch))
-    targets = np.empty(len(batch))
-    caches = []
-    for vi, (bundle, mos) in enumerate(batch):
-        feats = _fuse(bundle, layout, slice(0, bundle.n_keyframes),
-                      pooled[vi])
-        z = feats @ mlp.w1 + mlp.b1
-        a = act(z)
-        scores = a @ mlp.w2 + mlp.b2
-        preds[vi] = scores.mean()
-        targets[vi] = mos
-        caches.append((feats, z, a))
+    feats = np.concatenate([
+        _fuse(bundle, layout, slice(0, bundle.n_keyframes), pooled[vi])
+        for vi, (bundle, _) in enumerate(batch)])
+    counts = np.array([bundle.n_keyframes for bundle, _ in batch])
+    if counts.min() < 1:
+        raise TrainingError("cannot pool an empty score list")
+    starts = np.cumsum(counts) - counts
+    z, a, scores = _mlp_scores(feats, mlp)
+    preds = np.add.reduceat(scores, starts) / counts
+    targets = np.array([mos for _, mos in batch], dtype=np.float64)
 
     loss_value = loss_fn(preds, targets)
     dpred = loss_grad_fn(preds, targets)
 
     if grads is None:
         grads = _zeros_like_params(params_from_head(head))
-    else:
-        for g in grads.values():
-            g.fill(0.0)
-    dzs = []
-    for vi, (feats, z, a) in enumerate(caches):
-        n_z = feats.shape[0]
-        u = dpred[vi] / n_z                      # upstream per index score
-        grads["w2"] += u * a.sum(axis=0)
-        grads["b2"] += u * n_z
-        dz = (u * mlp.w2) * act_prime(z)         # (n_z, hidden)
-        grads["w1"] += feats.T @ dz
-        grads["b1"] += dz.sum(axis=0)
-        dzs.append(dz)
+    u = np.repeat(dpred / counts, counts)        # upstream per row score
+    np.matmul(u, a, out=grads["w2"])
+    grads["b2"][...] = u.sum()
+    dz = (u[:, None] * mlp.w2) * act_prime(z)    # (rows, hidden)
+    np.matmul(feats.T, dz, out=grads["w1"])
+    np.sum(dz, axis=0, out=grads["b1"])
     if token is not None:
         w1_token = mlp.w1[layout.slices()[token.name]]
-        _mhsa_backward(np.concatenate(dzs) @ w1_token.T, pool, mhsa_cache,
-                       grads)
+        _mhsa_backward(dz @ w1_token.T, pool, mhsa_cache, grads)
     return loss_value, grads
 
 
@@ -650,8 +659,36 @@ def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
     return path
 
 
+_CHECKPOINT_KEYS = ("activation", "layout", "mhsa_heads", "seed", "tensors",
+                    "train_config")
+
+
+def _checkpoint_shapes(layout: ConcatLayout, hidden: int,
+                       heads: int) -> dict[str, tuple[int, ...]]:
+    """Tensor name -> stored shape for a head of this layout, hidden width
+    and attention head count (save_checkpoint writes the scalar b2 as one
+    element)."""
+    shapes = {"w1": (layout.total_dim, hidden), "b1": (hidden,),
+              "w2": (hidden,), "b2": (1,)}
+    token = layout.token_entry()
+    if token is not None:
+        d = token.dim
+        if heads < 1 or d % heads:
+            raise TrainingError(
+                f"mhsa_heads={heads} does not divide token dim {d}")
+        shapes.update({key: (heads, d, d // heads)
+                       for key in ("wq", "wk", "wv")})
+        shapes["wo"] = (d, d)
+    return shapes
+
+
 def load_checkpoint(path: str | Path):
-    """Inverse of save_checkpoint; returns (head, cfg, master_seed)."""
+    """Inverse of save_checkpoint; returns (head, cfg, master_seed).
+
+    Every tensor shape is checked against the layout, the hidden width and
+    the attention head count before it is read, and the file must end with
+    the last tensor.
+    """
     data = Path(path).read_bytes()
     if len(data) < 10 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -664,6 +701,28 @@ def load_checkpoint(path: str | Path):
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     offset += header_len
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not an object")
+    missing = [key for key in _CHECKPOINT_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(
+            f"{path}: header is missing {', '.join(missing)}")
+    try:
+        layout = ConcatLayout(entries=tuple(
+            LayoutEntry(name, dim, gran, tok)
+            for name, dim, gran, tok in header["layout"]))
+        cfg = TrainConfig(**header["train_config"])
+        heads = header["mhsa_heads"] or cfg.mhsa_heads
+        shapes = _checkpoint_shapes(layout, cfg.hidden, heads)
+        if header["activation"] not in _ACTIVATIONS:
+            raise CheckpointError(
+                f"{path}: unknown activation {header['activation']!r}")
+    except (TypeError, ValueError, TrainingError) as exc:
+        raise CheckpointError(f"{path}: bad header ({exc})") from None
+    if header["tensors"] != sorted(shapes):
+        raise CheckpointError(
+            f"{path}: tensors {header['tensors']} do not match the layout "
+            f"({sorted(shapes)})")
 
     tensors = {}
     for name in header["tensors"]:
@@ -671,19 +730,25 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(f"{path}: truncated at tensor {name!r}")
         (ndim,) = struct.unpack_from("<B", data, offset)
         offset += 1
+        if offset + 4 * ndim > len(data):
+            raise CheckpointError(f"{path}: truncated shape of {name!r}")
         shape = struct.unpack_from(f"<{ndim}I", data, offset)
         offset += 4 * ndim
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8
+        if shape != shapes[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {shape}, expected "
+                f"{shapes[name]} from the layout, hidden={cfg.hidden} and "
+                f"mhsa_heads={heads}")
+        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
         if offset + n_bytes > len(data):
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         tensors[name] = np.frombuffer(
             data[offset:offset + n_bytes], dtype="<f8").reshape(shape).copy()
         offset += n_bytes
+    if offset != len(data):
+        raise CheckpointError(
+            f"{path}: {len(data) - offset} trailing bytes after the last "
+            f"tensor")
 
-    layout = ConcatLayout(entries=tuple(
-        LayoutEntry(name, dim, gran, tok)
-        for name, dim, gran, tok in header["layout"]))
-    cfg = TrainConfig(**header["train_config"])
-    heads = header["mhsa_heads"] or cfg.mhsa_heads
     head = _head_from_params(layout, tensors, header["activation"], heads)
     return head, cfg, header["seed"]

@@ -123,6 +123,16 @@ class SplitPlan:
     grouping: str
 
 
+def _groups(manifest: DatasetManifest, grouping: str) -> dict[str, list[str]]:
+    """Video ids per split group, in manifest order."""
+    key = (lambda r: r.scene_id) if grouping == "by-scene" else \
+        (lambda r: r.video_id)
+    groups: dict[str, list[str]] = {}
+    for rec in manifest.records:
+        groups.setdefault(key(rec), []).append(rec.video_id)
+    return groups
+
+
 def split(manifest: DatasetManifest, ratio: float = 0.8,
           grouping: str = "by-scene", seed: int = 0) -> SplitPlan:
     """Shuffle groups by seed; the first ceil(ratio * G) groups train."""
@@ -130,11 +140,7 @@ def split(manifest: DatasetManifest, ratio: float = 0.8,
         raise ManifestError(f"unknown grouping {grouping!r}")
     if not 0.0 < ratio < 1.0:
         raise ManifestError(f"ratio must be in (0, 1), got {ratio}")
-    key = (lambda r: r.scene_id) if grouping == "by-scene" else \
-        (lambda r: r.video_id)
-    groups: dict[str, list[str]] = {}
-    for rec in manifest.records:
-        groups.setdefault(key(rec), []).append(rec.video_id)
+    groups = _groups(manifest, grouping)
     names = sorted(groups)
     if len(names) < 2:
         raise ManifestError(
@@ -239,14 +245,20 @@ def run_experiment(manifest: DatasetManifest, registry: SourceRegistry,
     """Train/evaluate on `repeats` seeded splits and average the criteria."""
     if repeats < 1:
         raise ManifestError(f"repeats must be >= 1, got {repeats}")
+    plans = [split(manifest, ratio=ratio, grouping=grouping,
+                   seed=master_seed + k) for k in range(repeats)]
+    if not plans[0].test_ids:  # ceil(ratio * G) does not depend on the seed
+        n_groups = len(_groups(manifest, grouping))
+        raise ManifestError(
+            f"ratio {ratio} leaves no test video: ceil({ratio} * {n_groups}) "
+            f"= {math.ceil(ratio * n_groups)} of {n_groups} {grouping} "
+            f"groups train")
     bundles = {rec.video_id: pair for rec, pair in
                zip(manifest.records, load_bundles(manifest, registry,
                                                   extraction))}
     rows = []
-    for k in range(repeats):
-        split_seed = master_seed + k
+    for k, plan in enumerate(plans):
         train_seed = master_seed + TRAIN_SEED_STRIDE + k
-        plan = split(manifest, ratio=ratio, grouping=grouping, seed=split_seed)
         train_set = [bundles[v] for v in plan.train_ids]
         result = train(train_set, registry,
                        replace(cfg, seed=train_seed))
@@ -254,7 +266,7 @@ def run_experiment(manifest: DatasetManifest, registry: SourceRegistry,
                  for v in plan.test_ids]
         mos = [bundles[v][1] for v in plan.test_ids]
         report = evaluate(preds, mos)
-        rows.append(SplitResult(split_seed=split_seed, train_seed=train_seed,
+        rows.append(SplitResult(split_seed=plan.seed, train_seed=train_seed,
                                 n_train=len(plan.train_ids),
                                 n_test=len(plan.test_ids), report=report,
                                 train_result=result))

@@ -157,3 +157,35 @@ class TestErrors:
         chunks = load_raw_video(out / "chunks")
         assert keys.width == keys.height == 32
         assert chunks.width == chunks.height == 16
+
+    def test_malformed_checkpoint_one_line_error(self, workspace, capsys):
+        corpus = workspace / "corpus"
+        args = ["--config", str(workspace / "cfg.txt")]
+        assert main(["train", "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(workspace / "t.ckpt")] + args) == 0
+        bad = workspace / "trailing.ckpt"
+        bad.write_bytes((workspace / "t.ckpt").read_bytes() + b"junk")
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(bad),
+                     "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(workspace / "never.csv")] + args)
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: CheckpointError: ")
+        assert "trailing bytes" in err
+        assert "\n" not in err
+
+    def test_eval_rejects_non_numeric_data_row(self, workspace, capsys):
+        rows = [f"{0.1 * i:.1f},{i}" for i in range(7)]
+        good = workspace / "good.csv"
+        good.write_text("prediction,mos\n" + "\n".join(rows) + "\n")
+        assert main(["eval", "--pred", str(good)]) == 0
+        assert "n=7" in capsys.readouterr().out
+        rows[4] = "bad,4"
+        bad = workspace / "bad_row.csv"
+        bad.write_text("prediction,mos\n" + "\n".join(rows) + "\n")
+        assert main(["eval", "--pred", str(bad)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ManifestError: ")
+        assert f"{bad}:6: non-numeric row" in err
+        assert "\n" not in err

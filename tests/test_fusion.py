@@ -1,10 +1,18 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqvqa.errors import CheckpointError, TrainingError
-from rqvqa.features import FeatureBundle, FeatureSource, SourceRegistry
+from rqvqa.features import (
+    FeatureBundle,
+    FeatureSource,
+    SourceRegistry,
+    backbone_registry,
+)
 from rqvqa.fusion import (
     AdamState,
     ConcatLayout,
@@ -28,6 +36,8 @@ from rqvqa.fusion import (
     train,
     video_forward,
     _head_from_params,
+    _mhsa_backward,
+    _mhsa_forward,
 )
 
 
@@ -339,6 +349,137 @@ class TestBackprop:
         assert set(grads) == {"w1", "b1", "w2", "b2"}
 
 
+def layout_bundle(layout, n_z, seed, video_id="v"):
+    """Random bundle with one matrix per layout entry."""
+    rng = np.random.default_rng(seed)
+    matrices = {}
+    for e in layout.entries:
+        rows = 1 if e.granularity == "video" else n_z * max(e.token_count, 1)
+        matrices[e.name] = rng.uniform(-1.0, 1.0, size=(rows, e.dim))
+    return FeatureBundle(video_id=video_id, n_keyframes=n_z,
+                         matrices=matrices)
+
+
+def per_row_fused(bundle, layout, pool=None):
+    """Fused rows of every key frame, one concat_features call each."""
+    return [concat_features(bundle, layout, i, pool)
+            for i in range(bundle.n_keyframes)]
+
+
+class TestBatchedMlp:
+    @pytest.mark.parametrize("layout", [
+        toy_layout(), ConcatLayout.from_registry(backbone_registry())],
+        ids=["toy", "backbone"])
+    def test_video_forward_matches_per_row_oracle(self, layout):
+        head = build_head(layout, TrainConfig(hidden=16), seed=11)
+        mlp = head.mlp
+        for n_z in (3, 5):
+            bundle = layout_bundle(layout, n_z, seed=n_z)
+            scores = [mlp.w2 @ np.maximum(mlp.w1.T @ f + mlp.b1, 0.0) + mlp.b2
+                      for f in per_row_fused(bundle, layout)]
+            assert abs(video_forward(bundle, head) - np.mean(scores)) < 1e-12
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_backprop_mixed_keyframe_counts_match_per_video_loop(
+            self, activation):
+        layout = toy_layout()
+        cfg = TrainConfig(hidden=6, activation=activation)
+        head = build_head(layout, cfg, seed=12)
+        head.mlp.b1[:] = np.linspace(-0.2, 0.2, 6)
+        batch = [(layout_bundle(layout, n_z, seed=20 + i, video_id=f"v{i}"),
+                  float(i) + 0.5 * n_z)
+                 for i, n_z in enumerate((1, 2, 5, 2))]
+        loss_value, grads = backprop(batch, head)
+
+        # per-video reference: one MLP pass and one gradient term per video
+        act, act_prime = {"relu": (lambda z: np.maximum(z, 0.0),
+                                   lambda z: (z > 0.0) * 1.0),
+                          "tanh": (np.tanh,
+                                   lambda z: 1.0 - np.tanh(z) ** 2)}[activation]
+        mlp = head.mlp
+        cache, preds = [], []
+        for bundle, _ in batch:
+            feats = np.stack(per_row_fused(bundle, layout))
+            z = feats @ mlp.w1 + mlp.b1
+            preds.append(np.mean(act(z) @ mlp.w2 + mlp.b2))
+            cache.append((feats, z))
+        targets = [mos for _, mos in batch]
+        assert loss_value == pytest.approx(plcc_loss(preds, targets),
+                                           abs=1e-12)
+        dpred = plcc_loss_grad(preds, targets)
+        ref = {k: np.zeros_like(g) for k, g in grads.items()}
+        for (feats, z), d in zip(cache, dpred):
+            u = d / len(feats)
+            ref["w2"] += u * act(z).sum(axis=0)
+            ref["b2"] += u * len(feats)
+            dz = (u * mlp.w2) * act_prime(z)
+            ref["w1"] += feats.T @ dz
+            ref["b1"] += dz.sum(axis=0)
+        for k in ref:
+            np.testing.assert_allclose(grads[k], ref[k], rtol=0, atol=1e-12)
+
+    def test_token_backprop_mixed_keyframe_counts_match_per_video_loop(self):
+        registry = token_registry()
+        layout = ConcatLayout.from_registry(registry)
+        head = build_head(layout, TrainConfig(hidden=8, mhsa_heads=2), seed=13)
+        batch = [(token_bundle(n_z=n_z, seed=30 + i, video_id=f"v{i}"),
+                  float(i))
+                 for i, n_z in enumerate((1, 2, 5))]
+        _, grads = backprop(batch, head)
+
+        mlp, pool = head.mlp, head.pool
+        w1_token = mlp.w1[layout.slices()["spatial_tokens"]]
+        per_video = []
+        for bundle, _ in batch:
+            grids = bundle.matrices["spatial_tokens"].reshape(
+                bundle.n_keyframes, 4, 8)
+            pooled, mhsa_cache = _mhsa_forward(grids, pool)
+            feats = np.hstack([pooled, bundle.matrices["motionstats"]])
+            z = feats @ mlp.w1 + mlp.b1
+            per_video.append((feats, z, mhsa_cache))
+        preds = [np.mean(np.maximum(z, 0.0) @ mlp.w2 + mlp.b2)
+                 for _, z, _ in per_video]
+        dpred = plcc_loss_grad(preds, [mos for _, mos in batch])
+        ref = {k: np.zeros_like(g) for k, g in grads.items()}
+        for (feats, z, mhsa_cache), d in zip(per_video, dpred):
+            dz = (d / len(feats) * mlp.w2) * (z > 0.0)
+            ref["w1"] += feats.T @ dz
+            term = {k: np.zeros_like(g) for k, g in grads.items()}
+            _mhsa_backward(dz @ w1_token.T, pool, mhsa_cache, term)
+            for k in ("wq", "wk", "wv", "wo"):
+                ref[k] += term[k]
+        for k in ("w1", "wq", "wk", "wv", "wo"):
+            np.testing.assert_allclose(grads[k], ref[k], rtol=0, atol=1e-12)
+
+    def test_wrong_source_width_is_a_training_error(self):
+        layout = toy_layout()
+        head = build_head(layout, TrainConfig(hidden=5), seed=14)
+        narrow = make_bundle(seed=1, video_id="narrow")
+        narrow.matrices["pixelstats"] = narrow.matrices["pixelstats"][:, :15]
+        batch = [(make_bundle(seed=0, video_id="ok"), 1.0), (narrow, 2.0)]
+        with pytest.raises(TrainingError, match="pixelstats"):
+            video_forward(narrow, head)
+        with pytest.raises(TrainingError, match="pixelstats"):
+            backprop(batch, head)
+        # a head whose w1 disagrees with the layout width
+        head.mlp.w1 = head.mlp.w1[:39]
+        with pytest.raises(TrainingError, match="head input width 39"):
+            video_forward(make_bundle(), head)
+        with pytest.raises(TrainingError, match="head input width 39"):
+            backprop(batch[:1] * 2, head)
+
+    def test_non_finite_row_is_a_training_error(self):
+        layout = toy_layout()
+        head = build_head(layout, TrainConfig(hidden=5), seed=15)
+        bad = make_bundle(seed=1, video_id="bad")
+        bad.matrices["motionstats"][2, 3] = np.nan
+        with pytest.raises(TrainingError, match="non-finite"):
+            video_forward(bad, head)
+        with pytest.raises(TrainingError, match="non-finite"):
+            backprop([(make_bundle(seed=0, video_id="ok"), 1.0), (bad, 2.0)],
+                     head)
+
+
 def textbook_adam(params, grads, m, v, t, cfg, epoch):
     """Out-of-place reference: fresh arrays, nothing mutated."""
     lr = cfg.learning_rate
@@ -622,3 +763,73 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def _parts(self, path):
+        """(header dict, tensor bytes) of a checkpoint file."""
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 6)
+        return json.loads(data[10:10 + header_len]), data[10 + header_len:]
+
+    def _write(self, path, header, body):
+        blob = json.dumps(header).encode()
+        path.write_bytes(b"RQVC" + struct.pack("<HI", 1, len(blob)) + blob
+                         + body)
+        return path
+
+    def _saved(self, tmp_path, tokens=False):
+        registry = token_registry() if tokens else toy_training_registry()
+        make = token_bundle if tokens else make_bundle
+        samples = [(make(seed=i, video_id=f"v{i}"), float(i))
+                   for i in range(8)]
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=1,
+                          lr_decay_epoch=1, hidden=8, mhsa_heads=2, seed=9)
+        result = train(samples, registry, cfg)
+        return save_checkpoint(tmp_path / "m.ckpt", result.head, cfg, 1)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        header, body = self._parts(path)
+        del header["activation"]
+        with pytest.raises(CheckpointError, match="missing activation"):
+            load_checkpoint(self._write(path, header, body))
+
+    @pytest.mark.parametrize("activation", ["swish", []])
+    def test_unknown_activation_rejected(self, tmp_path, activation):
+        path = self._saved(tmp_path)
+        header, body = self._parts(path)
+        header["activation"] = activation
+        with pytest.raises(CheckpointError, match="activation"):
+            load_checkpoint(self._write(path, header, body))
+
+    def test_truncated_shape_record_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        header, body = self._parts(path)
+        # first tensor is b1: ndim byte, then a 4-byte dim cut to 2 bytes
+        with pytest.raises(CheckpointError, match="truncated shape"):
+            load_checkpoint(self._write(path, header, body[:3]))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_tensor_set_must_match_layout(self, tmp_path):
+        path = self._saved(tmp_path)
+        header, body = self._parts(path)
+        header["tensors"] = header["tensors"] + ["wo"]
+        with pytest.raises(CheckpointError, match="do not match the layout"):
+            load_checkpoint(self._write(path, header, body))
+
+    @pytest.mark.parametrize("field", ["layout_dim", "hidden", "heads"])
+    def test_tensor_shape_must_match_layout(self, tmp_path, field):
+        path = self._saved(tmp_path, tokens=field == "heads")
+        header, body = self._parts(path)
+        if field == "layout_dim":       # a 41-wide layout, a 40-row w1
+            header["layout"][0][1] += 1
+        elif field == "hidden":
+            header["train_config"]["hidden"] = 9
+        else:                           # (4, 8, 2) expected, (2, 8, 4) stored
+            header["mhsa_heads"] = 4
+        with pytest.raises(CheckpointError, match="has shape"):
+            load_checkpoint(self._write(path, header, body))

@@ -120,6 +120,18 @@ class TestExperiment:
             assert ra.report.plcc_4pl == rb.report.plcc_4pl
 
 
+    def test_empty_test_split_rejected_before_training(self):
+        # 2 scenes at ratio 0.8 train ceil(1.6) = 2 groups; the paths do
+        # not exist, so loading or training would fail differently
+        manifest = toy_manifest(n_scenes=2, per_scene=3)
+        assert split(manifest, ratio=0.8, seed=0).test_ids == ()
+        with pytest.raises(ManifestError,
+                           match=r"ratio 0.8 leaves no test video: "
+                                 r"ceil\(0.8 \* 2\) = 2 of 2"):
+            run_experiment(manifest, toy_registry(), FAST_TRAIN,
+                           ratio=0.8, extraction=EXTRACTION)
+
+
 class TestEnsemble:
     def test_two_model_mean(self):
         # k identical models -> ensemble equals a single model; the mean of
