@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: preprocess, gms (alias gms-dump), features, train, predict,
-eval, ensemble, synth. Every command accepts --config FILE and repeated
---set key=value overrides. Failures exit nonzero with a single
-machine-parsable line on stderr: `error: <kind>: <message>`.
+Subcommands: preprocess, gms, features, train, predict, eval, ensemble,
+synth. Every command accepts --config FILE and repeated --set key=value
+overrides. Failures exit nonzero with a single machine-parsable line on
+stderr: `error: <kind>: <message>`.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ import numpy as np
 from . import gms as gms_mod
 from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
-from .features import assemble_bundle, save_sidecar
+from .features import save_sidecar
 from .fusion import load_checkpoint, save_checkpoint, train
 from .harness import (
     ensemble_predict,
     load_bundles,
     load_manifest,
     predict_scores,
+    resolve_bundle,
     write_predictions,
 )
 from .metrics import evaluate
@@ -111,11 +112,7 @@ def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
     out = Path(args.out)
     for rec in manifest.records:
-        path = Path(rec.path)
-        video = load_raw_video(path) if (path / "meta.txt").is_file() else None
-        bundle = assemble_bundle(video, registry, sidecar_dir=path,
-                                 video_id=rec.video_id,
-                                 extraction=cfg.extraction)
+        bundle = resolve_bundle(rec, registry, cfg.extraction)
         for source in registry:
             save_sidecar(source, bundle.matrices[source.name],
                          out / rec.video_id / f"{source.name}.rqvf")
@@ -157,7 +154,8 @@ def cmd_eval(args) -> int:
             if not row:
                 continue
             if len(row) < 2:
-                raise ManifestError(f"{args.pred}: expected 2 columns")
+                raise ManifestError(
+                    f"{args.pred}:{reader.line_num}: expected 2 columns")
             try:
                 p, m = float(row[0]), float(row[1])
             except ValueError:
@@ -232,12 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_preprocess)
 
-    for name in ("gms", "gms-dump"):
-        p = sub.add_parser(name, help="dump the fragment volume of one video")
-        p.add_argument("--video", required=True)
-        p.add_argument("--out", required=True)
-        _add_common(p)
-        p.set_defaults(func=cmd_gms)
+    p = sub.add_parser("gms", help="dump the fragment volume of one video")
+    p.add_argument("--video", required=True)
+    p.add_argument("--out", required=True)
+    _add_common(p)
+    p.set_defaults(func=cmd_gms)
 
     p = sub.add_parser("features", help="materialize sidecars for a manifest")
     p.add_argument("--manifest", required=True)

@@ -59,9 +59,6 @@ LIQE_DISTORTIONS = ("blur", "color-related", "contrast", "JPEG compression",
                     "quantization", "under-exposure", "spatially-localized",
                     "others")
 LIQE_LEVELS = ("bad", "poor", "fair", "good", "perfect")
-LIQE_PROMPT = "a photo of a(n) {s} with {d} artifacts, which is of {c} quality"
-QALIGN_PROMPT = ("How is the quality of this image? |img| "
-                 "The quality of the image is [SCORE_TOKEN]")
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,6 @@ class FeatureSource:
     role: str = "frame_quality"
     token_count: int = 0
     probability: bool = False        # rows must be nonneg and sum to 1
-    prompt_template: str | None = None  # inert metadata for LMM-style sources
     toy: str | None = None           # built-in extractor name, if any
 
     def __post_init__(self):
@@ -114,9 +110,6 @@ class SourceRegistry:
             raise FeatureError(f"unknown source {name!r}")
         return self._by_name[name]
 
-    def names(self):
-        return list(self._by_name)
-
     def in_role_order(self) -> list[FeatureSource]:
         return sorted(self, key=lambda s: (ROLE_ORDER.index(s.role), s.name))
 
@@ -153,10 +146,9 @@ def backbone_registry(spatial_dim: int = 1024, temporal_dim: int = 256,
         FeatureSource("temporal", "chunk", temporal_dim, role="temporal"),
         FeatureSource("frame_quality_probs", "keyframe",
                       len(LIQE_SCENES) * len(LIQE_DISTORTIONS) * len(LIQE_LEVELS),
-                      role="frame_quality", probability=True,
-                      prompt_template=LIQE_PROMPT),
+                      role="frame_quality", probability=True),
         FeatureSource("frame_quality_lmm", "keyframe", lmm_dim,
-                      role="frame_quality", prompt_template=QALIGN_PROMPT),
+                      role="frame_quality"),
         FeatureSource("spatiotemporal", "video", spatiotemporal_dim,
                       role="video_quality"),
     ])

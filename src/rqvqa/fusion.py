@@ -278,23 +278,12 @@ def _fuse(bundle: FeatureBundle, layout: ConcatLayout, rows: slice,
     return np.concatenate(parts, axis=1)
 
 
-def concat_features(bundle: FeatureBundle, layout: ConcatLayout, i: int,
-                    pool: MhsaPool | None = None) -> np.ndarray:
-    """Fused feature vector for key-frame index i, segments in layout order."""
-    if not 0 <= i < bundle.n_keyframes:
-        raise FeatureError(
-            f"index {i} out of range for N_z={bundle.n_keyframes}")
-    grids = _token_grids(bundle, layout, pool)
-    pooled = None if grids is None else mhsa_pool(grids[i:i + 1], pool)
-    return _fuse(bundle, layout, slice(i, i + 1), pooled)[0]
-
-
 def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
     """Scores of n stacked fused rows (n, D) with one GEMM per layer.
 
     Returns (z, a, scores): pre-activations and activations (n, hidden), and
-    the (n,) row scores. Training, prediction and mlp_forward all score rows
-    here.
+    the (n,) row scores. Training (backprop) and prediction (video_forward)
+    both score rows here.
     """
     f = np.asarray(feats, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != mlp.w1.shape[0]:
@@ -309,28 +298,18 @@ def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
     return z, a, a @ mlp.w2 + mlp.b2
 
 
-def mlp_forward(f: np.ndarray, head: MlpHead) -> float:
-    """Scalar score for one fused feature vector."""
-    return float(_mlp_scores(np.asarray(f)[None], head)[2][0])
-
-
-def pool_scores(scores) -> float:
-    """Arithmetic mean of per-index scores."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    if s.size == 0:
-        raise TrainingError("cannot pool an empty score list")
-    if not np.all(np.isfinite(s)):
-        raise TrainingError("non-finite scores")
-    return float(s.mean())
-
-
 def video_forward(bundle: FeatureBundle, head: FusionHead) -> float:
     """Predicted quality score for one video: pool all its token grids in
     one call, fuse, score all key-frame rows in one MLP pass, average."""
+    if bundle.n_keyframes < 1:
+        raise TrainingError("cannot pool an empty score list")
     grids = _token_grids(bundle, head.layout, head.pool)
     pooled = None if grids is None else mhsa_pool(grids, head.pool)
     feats = _fuse(bundle, head.layout, slice(0, bundle.n_keyframes), pooled)
-    return pool_scores(_mlp_scores(feats, head.mlp)[2])
+    scores = _mlp_scores(feats, head.mlp)[2]
+    if not np.all(np.isfinite(scores)):
+        raise TrainingError("non-finite scores")
+    return float(scores.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from .fusion import (
     ConcatLayout,
     FusionHead,
     TrainConfig,
-    TrainResult,
     train,
     video_forward,
 )
@@ -60,17 +59,6 @@ class DatasetManifest:
 
     def __len__(self):
         return len(self.records)
-
-    def by_id(self, video_id: str) -> ManifestRecord:
-        for rec in self.records:
-            if rec.video_id == video_id:
-                return rec
-        raise ManifestError(f"unknown video_id {video_id!r}")
-
-    def subset(self, ids) -> "DatasetManifest":
-        wanted = set(ids)
-        return DatasetManifest(
-            records=[r for r in self.records if r.video_id in wanted])
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -225,7 +213,6 @@ class SplitResult:
     n_train: int
     n_test: int
     report: EvalReport
-    train_result: TrainResult | None = field(repr=False, default=None)
 
 
 @dataclass
@@ -234,6 +221,29 @@ class ExperimentReport:
     mean_srcc: float
     mean_plcc_raw: float
     mean_plcc_4pl: float
+
+
+def _split_models(manifest: DatasetManifest, bundles, registry: SourceRegistry,
+                  cfg: TrainConfig, n: int, master_seed: int, ratio: float,
+                  grouping: str):
+    """Yield (plan, train_seed, head) for n seeded splits: split k uses seed
+    master_seed + k and trains on its train ids, taken from the
+    video_id -> (bundle, mos) map `bundles`, with seed
+    master_seed + TRAIN_SEED_STRIDE + k."""
+    for k in range(n):
+        plan = split(manifest, ratio=ratio, grouping=grouping,
+                     seed=master_seed + k)
+        train_seed = master_seed + TRAIN_SEED_STRIDE + k
+        result = train([bundles[v] for v in plan.train_ids], registry,
+                       replace(cfg, seed=train_seed))
+        yield plan, train_seed, result.head
+
+
+def _bundles_by_id(manifest: DatasetManifest, registry: SourceRegistry,
+                   extraction: ExtractionConfig):
+    """video_id -> (bundle, mos) for every record of the manifest."""
+    return {rec.video_id: pair for rec, pair in
+            zip(manifest.records, load_bundles(manifest, registry, extraction))}
 
 
 def run_experiment(manifest: DatasetManifest, registry: SourceRegistry,
@@ -245,31 +255,25 @@ def run_experiment(manifest: DatasetManifest, registry: SourceRegistry,
     """Train/evaluate on `repeats` seeded splits and average the criteria."""
     if repeats < 1:
         raise ManifestError(f"repeats must be >= 1, got {repeats}")
-    plans = [split(manifest, ratio=ratio, grouping=grouping,
-                   seed=master_seed + k) for k in range(repeats)]
-    if not plans[0].test_ids:  # ceil(ratio * G) does not depend on the seed
+    # ceil(ratio * G) does not depend on the seed: split 0 speaks for all
+    plan = split(manifest, ratio=ratio, grouping=grouping, seed=master_seed)
+    if not plan.test_ids:
         n_groups = len(_groups(manifest, grouping))
         raise ManifestError(
             f"ratio {ratio} leaves no test video: ceil({ratio} * {n_groups}) "
             f"= {math.ceil(ratio * n_groups)} of {n_groups} {grouping} "
             f"groups train")
-    bundles = {rec.video_id: pair for rec, pair in
-               zip(manifest.records, load_bundles(manifest, registry,
-                                                  extraction))}
+    bundles = _bundles_by_id(manifest, registry, extraction)
     rows = []
-    for k, plan in enumerate(plans):
-        train_seed = master_seed + TRAIN_SEED_STRIDE + k
-        train_set = [bundles[v] for v in plan.train_ids]
-        result = train(train_set, registry,
-                       replace(cfg, seed=train_seed))
-        preds = [video_forward(bundles[v][0], result.head)
-                 for v in plan.test_ids]
+    for plan, train_seed, head in _split_models(
+            manifest, bundles, registry, cfg, repeats, master_seed, ratio,
+            grouping):
+        preds = [video_forward(bundles[v][0], head) for v in plan.test_ids]
         mos = [bundles[v][1] for v in plan.test_ids]
-        report = evaluate(preds, mos)
         rows.append(SplitResult(split_seed=plan.seed, train_seed=train_seed,
                                 n_train=len(plan.train_ids),
-                                n_test=len(plan.test_ids), report=report,
-                                train_result=result))
+                                n_test=len(plan.test_ids),
+                                report=evaluate(preds, mos)))
     return ExperimentReport(
         rows=rows,
         mean_srcc=float(np.mean([r.report.srcc for r in rows])),
@@ -296,20 +300,14 @@ def ensemble_predict(train_manifest: DatasetManifest,
     if combiner not in ("mean", "median"):
         raise ManifestError(f"unknown combiner {combiner!r}")
     target = target_manifest if target_manifest is not None else train_manifest
-    train_bundles = {rec.video_id: pair for rec, pair in
-                     zip(train_manifest.records,
-                         load_bundles(train_manifest, registry, extraction))}
+    train_bundles = _bundles_by_id(train_manifest, registry, extraction)
     target_bundles = load_bundles(target, registry, extraction)
 
-    per_model = np.empty((k_splits, len(target.records)))
-    for k in range(k_splits):
-        plan = split(train_manifest, ratio=ratio, grouping=grouping,
-                     seed=master_seed + k)
-        subset = [train_bundles[v] for v in plan.train_ids]
-        result = train(subset, registry,
-                       replace(cfg, seed=master_seed + TRAIN_SEED_STRIDE + k))
-        per_model[k] = [video_forward(bundle, result.head)
-                        for bundle, _ in target_bundles]
+    per_model = np.array([
+        [video_forward(bundle, head) for bundle, _ in target_bundles]
+        for _, _, head in _split_models(train_manifest, train_bundles,
+                                        registry, cfg, k_splits, master_seed,
+                                        ratio, grouping)])
     combined = per_model.mean(axis=0) if combiner == "mean" else \
         np.median(per_model, axis=0)
     return [(rec.video_id, float(s))

@@ -56,6 +56,7 @@ from rqvqa.metrics import (
 )
 from rqvqa.synthetic import make_synthetic_corpus
 
+from test_fusion import per_row_fused
 from test_metrics import brute_pearson, brute_spearman
 
 EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=8, gms_seed=0)
@@ -132,9 +133,7 @@ def _relu_margin(batch, layout, params, cfg):
     head = _head_from_params(layout, params, cfg.activation, cfg.mhsa_heads)
     margin = np.inf
     for bundle, _ in batch:
-        for i in range(bundle.n_keyframes):
-            from rqvqa.fusion import concat_features
-            f = concat_features(bundle, layout, i, head.pool)
+        for f in per_row_fused(bundle, layout, head.pool):
             z = head.mlp.w1.T @ f + head.mlp.b1
             margin = min(margin, float(np.min(np.abs(z))))
     return margin

@@ -84,12 +84,6 @@ class TestGmsDump:
         assert dumped.width == dumped.height == 32  # 4 cells x 8 px
         assert dumped.frame_count == 2  # one fragment frame per key frame
 
-    def test_alias(self, workspace):
-        args = ["--config", str(workspace / "cfg.txt")]
-        assert main(["gms-dump", "--video",
-                     str(workspace / "corpus" / "scene0000_v0"),
-                     "--out", str(workspace / "frag2")] + args) == 0
-
 
 class TestFeaturesCommand:
     def test_sidecars_written_and_reusable(self, workspace):
@@ -188,4 +182,12 @@ class TestErrors:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ManifestError: ")
         assert f"{bad}:6: non-numeric row" in err
+        assert "\n" not in err
+        rows[4] = "0.4"
+        short = workspace / "short_row.csv"
+        short.write_text("prediction,mos\n" + "\n".join(rows) + "\n")
+        assert main(["eval", "--pred", str(short)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ManifestError: ")
+        assert f"{short}:6: expected 2 columns" in err
         assert "\n" not in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqvqa.errors import CheckpointError, TrainingError
+from rqvqa.errors import CheckpointError, FeatureError, TrainingError
 from rqvqa.features import (
     FeatureBundle,
     FeatureSource,
@@ -16,28 +16,28 @@ from rqvqa.features import (
 from rqvqa.fusion import (
     AdamState,
     ConcatLayout,
+    FusionHead,
     LayoutEntry,
     MhsaPool,
     MlpHead,
     TrainConfig,
     adam_step,
     backprop,
-    concat_features,
     init_params,
     load_checkpoint,
     mhsa_pool,
-    mlp_forward,
     mse_loss,
     params_from_head,
     plcc_loss,
     plcc_loss_grad,
-    pool_scores,
     save_checkpoint,
     train,
     video_forward,
+    _fuse,
     _head_from_params,
     _mhsa_backward,
     _mhsa_forward,
+    _mlp_scores,
 )
 
 
@@ -134,12 +134,17 @@ def make_bundle(n_z=3, seed=0, video_id="v"):
     })
 
 
+def all_rows(bundle):
+    return slice(0, bundle.n_keyframes)
+
+
 class TestConcatFeatures:
     def test_broadcast_per_video_source(self):
         bundle = make_bundle()
         layout = toy_layout()
         assert layout.total_dim == 40
-        rows = [concat_features(bundle, layout, i) for i in range(3)]
+        rows = _fuse(bundle, layout, all_rows(bundle), None)
+        assert rows.shape == (3, 40)
         for row in rows:
             np.testing.assert_array_equal(
                 row[24:40], bundle.matrices["fragmentstats"][0])
@@ -147,40 +152,41 @@ class TestConcatFeatures:
     def test_segment_slices(self):
         bundle = make_bundle()
         layout = toy_layout()
-        row = concat_features(bundle, layout, 1)
-        np.testing.assert_array_equal(row[16:24],
-                                      bundle.matrices["motionstats"][1])
+        rows = _fuse(bundle, layout, all_rows(bundle), None)
+        for i in range(3):
+            np.testing.assert_array_equal(rows[i, 0:16],
+                                          bundle.matrices["pixelstats"][i])
+            np.testing.assert_array_equal(rows[i, 16:24],
+                                          bundle.matrices["motionstats"][i])
         assert layout.slices()["motionstats"] == slice(16, 24)
 
     def test_single_index(self):
         bundle = make_bundle(n_z=1)
-        row = concat_features(bundle, toy_layout(), 0)
-        assert row.shape == (40,)
-
-    def test_index_out_of_range(self):
-        from rqvqa.errors import FeatureError
-        with pytest.raises(FeatureError, match="out of range"):
-            concat_features(make_bundle(), toy_layout(), 3)
+        rows = _fuse(bundle, toy_layout(), all_rows(bundle), None)
+        assert rows.shape == (1, 40)
 
     def test_missing_source(self):
-        from rqvqa.errors import FeatureError
         bundle = make_bundle()
         del bundle.matrices["motionstats"]
+        head = build_head(toy_layout(), TrainConfig(hidden=5))
         with pytest.raises(FeatureError, match="motionstats"):
-            concat_features(bundle, toy_layout(), 0)
+            video_forward(bundle, head)
 
 
 class TestMlpForward:
+    """_mlp_scores, the row scorer under training and prediction."""
+
     def test_bias_pass_through(self):
         head = MlpHead(w1=np.zeros((4, 3)), b1=np.zeros(3),
                        w2=np.zeros(3), b2=0.7)
-        assert mlp_forward(np.zeros(4), head) == pytest.approx(0.7)
+        assert _mlp_scores(np.zeros((1, 4)), head)[2][0] == pytest.approx(0.7)
 
     def test_relu_gates_negative_input(self):
         head = MlpHead(w1=np.array([[1.0], [0.0]]), b1=np.zeros(1),
                        w2=np.ones(1), b2=0.0)
-        assert mlp_forward(np.array([1.0, 0.0]), head) == pytest.approx(1.0)
-        assert mlp_forward(np.array([-1.0, 0.0]), head) == pytest.approx(0.0)
+        scores = _mlp_scores(np.array([[1.0, 0.0], [-1.0, 0.0]]), head)[2]
+        assert scores[0] == pytest.approx(1.0)
+        assert scores[1] == pytest.approx(0.0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
@@ -188,30 +194,60 @@ class TestMlpForward:
         b1 = rng.standard_normal(7)
         w2 = rng.standard_normal(7)
         b2 = float(rng.standard_normal())
-        f = rng.standard_normal(5)
+        feats = rng.standard_normal((3, 5))
         head = MlpHead(w1=w1, b1=b1, w2=w2, b2=b2)
-        # independent hand-rolled computation
-        hidden = np.maximum(w1.T @ f + b1, 0.0)
-        expected = float(w2 @ hidden + b2)
-        assert abs(mlp_forward(f, head) - expected) < 1e-12
+        scores = _mlp_scores(feats, head)[2]
+        for f, score in zip(feats, scores):
+            # independent hand-rolled computation, one row at a time
+            hidden = np.maximum(w1.T @ f + b1, 0.0)
+            assert abs(score - float(w2 @ hidden + b2)) < 1e-12
+
+
+def score_head(offset=20.0):
+    """Head over one 1-wide key-frame source that scores a row x as
+    relu(x + offset) - offset, i.e. x for x > -offset."""
+    layout = ConcatLayout(entries=(LayoutEntry("x", 1, "keyframe"),))
+    mlp = MlpHead(w1=np.ones((1, 1)), b1=np.full(1, offset), w2=np.ones(1),
+                  b2=-offset)
+    return FusionHead(layout=layout, mlp=mlp)
+
+
+def score_bundle(xs):
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, 1)
+    return FeatureBundle(video_id="v", n_keyframes=len(xs),
+                         matrices={"x": xs})
 
 
 class TestPoolScores:
+    """video_forward averages the key-frame row scores."""
+
     def test_values(self):
-        assert pool_scores([3.0]) == 3.0
-        assert pool_scores([1, 2, 3, 4]) == pytest.approx(2.5)
+        head = score_head(offset=0.0)
+        assert video_forward(score_bundle([3.0]), head) == 3.0
+        assert video_forward(score_bundle([1, 2, 3, 4]), head) == \
+            pytest.approx(2.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(TrainingError):
-            pool_scores([])
+        with pytest.raises(TrainingError, match="empty"):
+            video_forward(score_bundle([]), score_head())
+
+    def test_non_finite_score_rejected(self):
+        head = score_head(offset=0.0)
+        head.mlp.w2[:] = 1e300
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match="non-finite scores"):
+            video_forward(score_bundle([1e10]), head)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariance(self, xs):
         rng = np.random.default_rng(len(xs))
         perm = rng.permutation(len(xs))
-        assert pool_scores(np.array(xs)[perm]) == pytest.approx(
-            pool_scores(xs), abs=1e-12)
+        head = score_head()
+        pooled = video_forward(score_bundle(xs), head)
+        assert video_forward(score_bundle(np.array(xs)[perm]), head) == \
+            pytest.approx(pooled, abs=1e-12)
+        assert pooled == pytest.approx(np.mean(xs), abs=1e-12)
 
 
 class TestCorrelationLoss:
@@ -361,9 +397,22 @@ def layout_bundle(layout, n_z, seed, video_id="v"):
 
 
 def per_row_fused(bundle, layout, pool=None):
-    """Fused rows of every key frame, one concat_features call each."""
-    return [concat_features(bundle, layout, i, pool)
-            for i in range(bundle.n_keyframes)]
+    """Fused rows of every key frame, built by hand in layout order: the
+    per-video row repeated, each token grid pooled by oracle_mhsa."""
+    rows = []
+    for i in range(bundle.n_keyframes):
+        parts = []
+        for e in layout.entries:
+            mat = bundle.matrices[e.name]
+            if e.granularity == "video":
+                parts.append(mat[0])
+            elif e.granularity == "tokens":
+                t = e.token_count
+                parts.append(oracle_mhsa(mat[i * t:(i + 1) * t], pool))
+            else:
+                parts.append(mat[i])
+        rows.append(np.concatenate(parts))
+    return rows
 
 
 class TestBatchedMlp:
@@ -728,10 +777,11 @@ class TestAttentionPoolTraining:
             train(samples, registry, cfg)
 
     def test_tokens_source_requires_pool(self):
-        bundle = token_bundle()
         layout = ConcatLayout.from_registry(token_registry())
+        head = build_head(layout, TrainConfig(hidden=8, mhsa_heads=2))
+        head.pool = None
         with pytest.raises(TrainingError, match="attention pool"):
-            concat_features(bundle, layout, 0, pool=None)
+            video_forward(token_bundle(), head)
 
 
 class TestCheckpoint:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from rqvqa.config import load_config
 from rqvqa.errors import CheckpointError, ManifestError
 from rqvqa.features import ExtractionConfig, toy_registry
-from rqvqa.fusion import TrainConfig, train
+from rqvqa.fusion import TrainConfig, train, video_forward
 from rqvqa.harness import (
     DatasetManifest,
     ManifestRecord,
@@ -19,6 +20,8 @@ from rqvqa.harness import (
     split,
     write_predictions,
 )
+
+from test_fusion import per_row_fused
 
 EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=8, gms_seed=0)
 FAST_TRAIN = TrainConfig(learning_rate=1e-3, batch_size=6, epochs=4,
@@ -132,31 +135,48 @@ class TestExperiment:
                            ratio=0.8, extraction=EXTRACTION)
 
 
+def hand_members(manifest, registry, k_splits, master_seed):
+    """Scores of every video under k member models trained by hand: split
+    seed master_seed + k, training seed master_seed + 100000 + k."""
+    bundles = {r.video_id: p for r, p in zip(
+        manifest.records, load_bundles(manifest, registry, EXTRACTION))}
+    per_model = []
+    for k in range(k_splits):
+        plan = split(manifest, seed=master_seed + k)
+        subset = [bundles[v] for v in plan.train_ids]
+        res = train(subset, registry,
+                    replace(FAST_TRAIN, seed=master_seed + 100000 + k))
+        per_model.append([video_forward(bundles[r.video_id][0], res.head)
+                          for r in manifest.records])
+    return per_model
+
+
 class TestEnsemble:
-    def test_two_model_mean(self):
-        # k identical models -> ensemble equals a single model; the mean of
-        # 3.0 and 4.0 is checked through the combiner directly
-        assert np.mean([3.0, 4.0]) == 3.5
+    def test_two_model_mean(self, small_corpus):
+        """The combiners other than the default mean: the median of three
+        members, and an unknown name."""
+        manifest, _ = small_corpus
+        registry = toy_registry()
+        rows = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=3,
+                                master_seed=3, combiner="median",
+                                extraction=EXTRACTION)
+        members = hand_members(manifest, registry, 3, 3)
+        expected = np.median(members, axis=0)
+        # the median must be told apart from the mean
+        assert np.abs(expected - np.mean(members, axis=0)).max() > 1e-6
+        assert [v for v, _ in rows] == [r.video_id for r in manifest.records]
+        np.testing.assert_allclose([s for _, s in rows], expected, rtol=0,
+                                   atol=1e-12)
+        with pytest.raises(ManifestError, match="unknown combiner"):
+            ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=3,
+                             combiner="mode", extraction=EXTRACTION)
 
     def test_ensemble_matches_hand_average(self, small_corpus):
         manifest, _ = small_corpus
         registry = toy_registry()
         rows = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=2,
                                 master_seed=6, extraction=EXTRACTION)
-        # recompute the two member models by hand
-        bundles = {r.video_id: p for r, p in zip(
-            manifest.records, load_bundles(manifest, registry, EXTRACTION))}
-        from rqvqa.fusion import video_forward
-        from dataclasses import replace
-        per_model = []
-        for k in range(2):
-            plan = split(manifest, seed=6 + k)
-            subset = [bundles[v] for v in plan.train_ids]
-            res = train(subset, registry, replace(FAST_TRAIN,
-                                                  seed=100006 + k))
-            per_model.append([video_forward(bundles[r.video_id][0], res.head)
-                              for r in manifest.records])
-        expected = np.mean(per_model, axis=0)
+        expected = np.mean(hand_members(manifest, registry, 2, 6), axis=0)
         np.testing.assert_allclose([s for _, s in rows], expected, atol=1e-12)
 
     def test_k_below_two_rejected(self, small_corpus):
@@ -198,7 +218,6 @@ class TestPredict:
     def test_single_keyframe_video_scores_its_only_index(self, tmp_path):
         from rqvqa.preproc import VideoFrames
         from rqvqa.features import assemble_bundle
-        from rqvqa.fusion import video_forward, concat_features, mlp_forward
 
         rng = np.random.default_rng(0)
         frames = rng.integers(0, 256, (4, 32, 32, 3), dtype=np.uint8)
@@ -213,8 +232,9 @@ class TestPredict:
                        registry, extraction=EXTRACTION), 4.0)]
         result = train(dataset, registry, FAST_TRAIN)
         q_hat = video_forward(bundle, result.head)
-        q_0 = mlp_forward(concat_features(bundle, result.head.layout, 0),
-                          result.head.mlp)
+        [f] = per_row_fused(bundle, result.head.layout)
+        mlp = result.head.mlp
+        q_0 = mlp.w2 @ np.maximum(mlp.w1.T @ f + mlp.b1, 0.0) + mlp.b2
         assert q_hat == pytest.approx(q_0, abs=1e-12)
 
     def test_registry_mismatch_not_silent(self, small_corpus, tmp_path):
