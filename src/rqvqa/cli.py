@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
         for row in reader:
             if not row:
                 continue
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ManifestError(
                     f"{args.pred}:{reader.line_num}: expected 2 columns")
             try:
@@ -162,7 +162,7 @@ def cmd_eval(args) -> int:
                 if not first:  # only the first non-empty row is a header
                     raise ManifestError(
                         f"{args.pred}:{reader.line_num}: non-numeric row "
-                        f"{row[:2]}") from None
+                        f"{row}") from None
                 first = False
                 continue
             first = False

@@ -163,32 +163,21 @@ _ACTIVATIONS = {"relu": (_relu, _relu_prime), "tanh": (np.tanh, _tanh_prime)}
 # Forward ops
 
 
-def mhsa_pool(tokens: np.ndarray, pool: MhsaPool) -> np.ndarray:
-    """Scaled dot-product self-attention over T tokens, then mean over T.
-
-    tokens is one (T, d) grid, giving (d,), or a stack of n grids (n, T, d),
-    giving (n, d); grids never attend to each other.
-    """
-    x = np.asarray(tokens)
-    if x.ndim == 2:
-        return _mhsa_forward(x[None], pool)[0][0]
-    return _mhsa_forward(x, pool)[0]
-
-
 def _join_heads(w: np.ndarray) -> np.ndarray:
     """(heads, d, d_head) -> (d, heads * d_head), head-major columns."""
     return w.transpose(1, 0, 2).reshape(w.shape[1], -1)
 
 
-def _mhsa_forward(tokens: np.ndarray, pool: MhsaPool):
-    """Mean-pooled attention of n stacked (T, d) grids -> (n, d), and the
-    cache for _mhsa_backward.
+def mhsa_pool(grids: np.ndarray, pool: MhsaPool):
+    """Scaled dot-product self-attention over each of n stacked (T, d) token
+    grids, then the mean over its T tokens; grids never attend to each other.
 
-    The mean over query tokens is taken first: mean_t(A X Wv) Wo equals
+    Returns the (n, d) pooled rows and the cache for _mhsa_backward. The mean
+    over query tokens is taken first: mean_t(A X Wv) Wo equals
     ((mean_t A) X) Wv Wo, so neither per-token values nor the T x d output
     product are formed. Q and K take one GEMM each over all n * T tokens.
     """
-    x = np.asarray(tokens, dtype=np.float64)
+    x = np.asarray(grids, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != pool.dim:
         raise TrainingError(
             f"token grids {x.shape} do not match attention dim {pool.dim}")
@@ -247,25 +236,11 @@ def _source(bundle: FeatureBundle, entry: LayoutEntry) -> np.ndarray:
     return mat
 
 
-def _token_grids(bundle: FeatureBundle, layout: ConcatLayout,
-                 pool: MhsaPool | None) -> np.ndarray | None:
-    """(N_z, T, d) view of the bundle's token source, None without one."""
-    entry = layout.token_entry()
-    if entry is None:
-        return None
-    if pool is None:
-        raise TrainingError(
-            f"source {entry.name!r} is a token grid and needs an attention "
-            f"pool")
-    return _source(bundle, entry).reshape(
-        bundle.n_keyframes, entry.token_count, entry.dim)
-
-
-def _fuse(bundle: FeatureBundle, layout: ConcatLayout, rows: slice,
+def _fuse(bundle: FeatureBundle, layout: ConcatLayout,
           pooled: np.ndarray | None) -> np.ndarray:
-    """Fused vectors of key-frame indices `rows`, segments in layout order;
-    pooled holds the pooled token rows of those indices."""
-    n = rows.stop - rows.start
+    """Fused vectors of every key frame, segments in layout order; pooled
+    holds the pooled token rows of the key frames."""
+    n = bundle.n_keyframes
     parts = []
     for entry in layout.entries:
         mat = _source(bundle, entry)
@@ -274,7 +249,7 @@ def _fuse(bundle: FeatureBundle, layout: ConcatLayout, rows: slice,
         elif entry.granularity == "tokens":
             parts.append(pooled)
         else:
-            parts.append(mat[rows])
+            parts.append(mat[:n])
     return np.concatenate(parts, axis=1)
 
 
@@ -282,8 +257,7 @@ def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
     """Scores of n stacked fused rows (n, D) with one GEMM per layer.
 
     Returns (z, a, scores): pre-activations and activations (n, hidden), and
-    the (n,) row scores. Training (backprop) and prediction (video_forward)
-    both score rows here.
+    the (n,) row scores.
     """
     f = np.asarray(feats, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != mlp.w1.shape[0]:
@@ -298,18 +272,42 @@ def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
     return z, a, a @ mlp.w2 + mlp.b2
 
 
-def video_forward(bundle: FeatureBundle, head: FusionHead) -> float:
-    """Predicted quality score for one video: pool all its token grids in
-    one call, fuse, score all key-frame rows in one MLP pass, average."""
-    if bundle.n_keyframes < 1:
+def _forward(bundles, head: FusionHead):
+    """Scores of the videos `bundles` -> ((n_videos,) preds, cache).
+
+    The one forward under training (backprop), prediction (video_forward)
+    and the gradient check: pool every token grid in one mhsa_pool call,
+    fuse, score all key-frame rows in one MLP pass, and average each video's
+    row scores with one np.add.reduceat. cache holds what backprop's
+    backward reads.
+    """
+    counts = np.array([bundle.n_keyframes for bundle in bundles])
+    if (counts < 1).any():
         raise TrainingError("cannot pool an empty score list")
-    grids = _token_grids(bundle, head.layout, head.pool)
-    pooled = None if grids is None else mhsa_pool(grids, head.pool)
-    feats = _fuse(bundle, head.layout, slice(0, bundle.n_keyframes), pooled)
-    scores = _mlp_scores(feats, head.mlp)[2]
-    if not np.all(np.isfinite(scores)):
+    layout, token = head.layout, head.layout.token_entry()
+    pooled, mhsa_cache = [None] * len(bundles), None
+    if token is not None:
+        if head.pool is None:
+            raise TrainingError(
+                f"source {token.name!r} is a token grid and needs an "
+                f"attention pool")
+        grids = [_source(bundle, token).reshape(
+            bundle.n_keyframes, token.token_count, token.dim)
+            for bundle in bundles]
+        stacked, mhsa_cache = mhsa_pool(np.concatenate(grids), head.pool)
+        pooled = np.split(stacked, np.cumsum(counts[:-1]))
+    feats = np.concatenate([_fuse(bundle, layout, rows)
+                            for bundle, rows in zip(bundles, pooled)])
+    z, a, scores = _mlp_scores(feats, head.mlp)
+    if not np.isfinite(scores).all():
         raise TrainingError("non-finite scores")
-    return float(scores.mean())
+    preds = np.add.reduceat(scores, np.cumsum(counts) - counts) / counts
+    return preds, (counts, feats, z, a, mhsa_cache)
+
+
+def video_forward(bundle: FeatureBundle, head: FusionHead) -> float:
+    """Predicted quality score for one video."""
+    return float(_forward([bundle], head)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +393,19 @@ def params_from_head(head: FusionHead) -> dict[str, np.ndarray]:
 def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     """Loss and exact parameter gradients for one mini-batch.
 
-    batch is a sequence of (FeatureBundle, mos). Gradients flow through the
-    score averaging, the MLP, and the attention pool when one is present.
-    The fused rows of every video are stacked, so the MLP forward and each
-    weight gradient are one GEMM over the mini-batch, and the token grids of
-    every key frame are pooled in one call. grads, if given, is a dict
+    batch is a sequence of (FeatureBundle, mos), scored by _forward.
+    Gradients flow back through the score averaging, the MLP, and the
+    attention pool when one is present; each MLP weight gradient is one GEMM
+    over the stacked rows of the mini-batch. grads, if given, is a dict
     shaped like the parameters that is overwritten in place of a fresh one:
     `train` reuses one across steps, which saves allocating and
     page-faulting a parameter-sized dict per step.
     """
     loss_fn, loss_grad_fn = _LOSSES[loss]
     _, act_prime = _ACTIVATIONS[head.mlp.activation]
-    layout, mlp, pool = head.layout, head.mlp, head.pool
-    token = layout.token_entry()
-
-    pooled = [None] * len(batch)
-    if token is not None:
-        grids = [_token_grids(bundle, layout, pool) for bundle, _ in batch]
-        stacked, mhsa_cache = _mhsa_forward(np.concatenate(grids), pool)
-        pooled = np.split(stacked, np.cumsum([len(g) for g in grids])[:-1])
-    feats = np.concatenate([
-        _fuse(bundle, layout, slice(0, bundle.n_keyframes), pooled[vi])
-        for vi, (bundle, _) in enumerate(batch)])
-    counts = np.array([bundle.n_keyframes for bundle, _ in batch])
-    if counts.min() < 1:
-        raise TrainingError("cannot pool an empty score list")
-    starts = np.cumsum(counts) - counts
-    z, a, scores = _mlp_scores(feats, mlp)
-    preds = np.add.reduceat(scores, starts) / counts
+    layout, mlp = head.layout, head.mlp
+    preds, (counts, feats, z, a, mhsa_cache) = _forward(
+        [bundle for bundle, _ in batch], head)
     targets = np.array([mos for _, mos in batch], dtype=np.float64)
 
     loss_value = loss_fn(preds, targets)
@@ -436,9 +419,9 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     dz = (u[:, None] * mlp.w2) * act_prime(z)    # (rows, hidden)
     np.matmul(feats.T, dz, out=grads["w1"])
     np.sum(dz, axis=0, out=grads["b1"])
-    if token is not None:
-        w1_token = mlp.w1[layout.slices()[token.name]]
-        _mhsa_backward(dz @ w1_token.T, pool, mhsa_cache, grads)
+    if mhsa_cache is not None:
+        w1_token = mlp.w1[layout.slices()[layout.token_entry().name]]
+        _mhsa_backward(dz @ w1_token.T, head.pool, mhsa_cache, grads)
     return loss_value, grads
 
 

@@ -299,9 +299,12 @@ def ensemble_predict(train_manifest: DatasetManifest,
         raise ManifestError(f"k_splits must be >= 2, got {k_splits}")
     if combiner not in ("mean", "median"):
         raise ManifestError(f"unknown combiner {combiner!r}")
-    target = target_manifest if target_manifest is not None else train_manifest
     train_bundles = _bundles_by_id(train_manifest, registry, extraction)
-    target_bundles = load_bundles(target, registry, extraction)
+    if target_manifest is None:
+        target, target_bundles = train_manifest, train_bundles.values()
+    else:
+        target = target_manifest
+        target_bundles = load_bundles(target, registry, extraction)
 
     per_model = np.array([
         [video_forward(bundle, head) for bundle, _ in target_bundles]

@@ -43,18 +43,11 @@ def pearson(x, y) -> float:
 
 def rankdata(x) -> np.ndarray:
     """Average fractional ranks (1-based); ties share their mean rank."""
-    v = np.asarray(x, dtype=np.float64).ravel()
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sorted_v = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    v = _as_vector(x, "x")
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    # a tie group of c values ending at 1-based rank e has mean rank
+    # e - (c - 1) / 2
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(x, y) -> float:

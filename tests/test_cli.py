@@ -183,11 +183,12 @@ class TestErrors:
         assert err.startswith("error: ManifestError: ")
         assert f"{bad}:6: non-numeric row" in err
         assert "\n" not in err
-        rows[4] = "0.4"
-        short = workspace / "short_row.csv"
-        short.write_text("prediction,mos\n" + "\n".join(rows) + "\n")
-        assert main(["eval", "--pred", str(short)]) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error: ManifestError: ")
-        assert f"{short}:6: expected 2 columns" in err
-        assert "\n" not in err
+        for name, row in (("short_row", "0.4"), ("long_row", "0.4,4,9")):
+            rows[4] = row
+            path = workspace / f"{name}.csv"
+            path.write_text("prediction,mos\n" + "\n".join(rows) + "\n")
+            assert main(["eval", "--pred", str(path)]) == 1
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: ManifestError: ")
+            assert f"{path}:6: expected 2 columns" in err
+            assert "\n" not in err

@@ -33,10 +33,10 @@ from rqvqa.fusion import (
     save_checkpoint,
     train,
     video_forward,
+    _forward,
     _fuse,
     _head_from_params,
     _mhsa_backward,
-    _mhsa_forward,
     _mlp_scores,
 )
 
@@ -69,11 +69,16 @@ def oracle_mhsa(tokens, pool):
     return (np.concatenate(head_outs, axis=1) @ pool.wo).mean(axis=0)
 
 
+def pool_one(grid, pool):
+    """Pooled row of one (T, d) grid, through the stacked entry point."""
+    return mhsa_pool(grid[None], pool)[0][0]
+
+
 class TestMhsaPool:
     def test_single_token_softmax_collapses(self):
         pool = make_pool()
         token = np.random.default_rng(1).standard_normal((1, 8))
-        out = mhsa_pool(token, pool)
+        out = pool_one(token, pool)
         # attention over one element is 1, so output = (V-proj) @ Wo
         expected = np.concatenate(
             [token[0] @ pool.wv[h] for h in range(2)]) @ pool.wo
@@ -83,13 +88,13 @@ class TestMhsaPool:
         pool = make_pool()
         row = np.random.default_rng(2).standard_normal(8)
         stacked = np.tile(row, (5, 1))
-        np.testing.assert_allclose(mhsa_pool(stacked, pool),
-                                   mhsa_pool(row[None, :], pool), atol=1e-12)
+        np.testing.assert_allclose(pool_one(stacked, pool),
+                                   pool_one(row[None, :], pool), atol=1e-12)
 
     def test_matches_dense_oracle(self):
         pool = make_pool()
         tokens = np.random.default_rng(3).standard_normal((4, 8))
-        np.testing.assert_allclose(mhsa_pool(tokens, pool),
+        np.testing.assert_allclose(pool_one(tokens, pool),
                                    oracle_mhsa(tokens, pool), atol=1e-12)
 
     @given(seed=st.integers(0, 1000))
@@ -99,18 +104,21 @@ class TestMhsaPool:
         rng = np.random.default_rng(seed)
         tokens = rng.standard_normal((6, 8))
         perm = rng.permutation(6)
-        np.testing.assert_allclose(mhsa_pool(tokens[perm], pool),
-                                   mhsa_pool(tokens, pool), atol=1e-12)
+        out = mhsa_pool(np.stack([tokens[perm], tokens]), pool)[0]
+        np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         pool = make_pool(d=8)
         with pytest.raises(TrainingError):
-            mhsa_pool(np.zeros((3, 7)), pool)
+            mhsa_pool(np.zeros((1, 3, 7)), pool)
+        # a bare (T, d) grid is not a stack of grids
+        with pytest.raises(TrainingError):
+            mhsa_pool(np.zeros((3, 8)), pool)
 
     def test_stacked_grids_pool_independently(self):
         pool = make_pool()
         grids = np.random.default_rng(5).standard_normal((3, 4, 8))
-        out = mhsa_pool(grids, pool)
+        out = mhsa_pool(grids, pool)[0]
         assert out.shape == (3, 8)
         for i in range(3):
             np.testing.assert_allclose(out[i], oracle_mhsa(grids[i], pool),
@@ -134,16 +142,12 @@ def make_bundle(n_z=3, seed=0, video_id="v"):
     })
 
 
-def all_rows(bundle):
-    return slice(0, bundle.n_keyframes)
-
-
 class TestConcatFeatures:
     def test_broadcast_per_video_source(self):
         bundle = make_bundle()
         layout = toy_layout()
         assert layout.total_dim == 40
-        rows = _fuse(bundle, layout, all_rows(bundle), None)
+        rows = _fuse(bundle, layout, None)
         assert rows.shape == (3, 40)
         for row in rows:
             np.testing.assert_array_equal(
@@ -152,7 +156,7 @@ class TestConcatFeatures:
     def test_segment_slices(self):
         bundle = make_bundle()
         layout = toy_layout()
-        rows = _fuse(bundle, layout, all_rows(bundle), None)
+        rows = _fuse(bundle, layout, None)
         for i in range(3):
             np.testing.assert_array_equal(rows[i, 0:16],
                                           bundle.matrices["pixelstats"][i])
@@ -162,7 +166,7 @@ class TestConcatFeatures:
 
     def test_single_index(self):
         bundle = make_bundle(n_z=1)
-        rows = _fuse(bundle, toy_layout(), all_rows(bundle), None)
+        rows = _fuse(bundle, toy_layout(), None)
         assert rows.shape == (1, 40)
 
     def test_missing_source(self):
@@ -237,6 +241,22 @@ class TestPoolScores:
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match="non-finite scores"):
             video_forward(score_bundle([1e10]), head)
+        # training scores through the same forward, so it rejects them too
+        batch = [(score_bundle([1.0]), 1.0), (score_bundle([1e10]), 2.0)]
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match="non-finite scores"):
+            backprop(batch, head)
+
+    def test_prediction_averages_like_training(self):
+        # numpy 2.4's mean adds these three scores in another order than
+        # np.add.reduceat, the average training takes
+        xs = np.array([1.009618183538736, 0.20917557487171307,
+                       0.15922500991447772])
+        head = score_head(offset=0.0)
+        expected = (np.add.reduceat(xs, [0]) / 3)[0]
+        assert video_forward(score_bundle(xs), head) == expected
+        batch = [score_bundle([2.0]), score_bundle(xs)]
+        assert _forward(batch, head)[0][1] == expected
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
     @settings(max_examples=40, deadline=None)
@@ -482,7 +502,7 @@ class TestBatchedMlp:
         for bundle, _ in batch:
             grids = bundle.matrices["spatial_tokens"].reshape(
                 bundle.n_keyframes, 4, 8)
-            pooled, mhsa_cache = _mhsa_forward(grids, pool)
+            pooled, mhsa_cache = mhsa_pool(grids, pool)
             feats = np.hstack([pooled, bundle.matrices["motionstats"]])
             z = feats @ mlp.w1 + mlp.b1
             per_video.append((feats, z, mhsa_cache))

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rqvqa import harness
 from rqvqa.config import load_config
 from rqvqa.errors import CheckpointError, ManifestError
-from rqvqa.features import ExtractionConfig, toy_registry
-from rqvqa.fusion import TrainConfig, train, video_forward
+from rqvqa.features import ExtractionConfig, save_sidecar, toy_registry
+from rqvqa.fusion import ConcatLayout, TrainConfig, train, video_forward
 from rqvqa.harness import (
     DatasetManifest,
     ManifestRecord,
@@ -21,7 +22,12 @@ from rqvqa.harness import (
     write_predictions,
 )
 
-from test_fusion import per_row_fused
+from test_fusion import (
+    build_head,
+    per_row_fused,
+    token_bundle,
+    token_registry,
+)
 
 EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=8, gms_seed=0)
 FAST_TRAIN = TrainConfig(learning_rate=1e-3, batch_size=6, epochs=4,
@@ -179,6 +185,29 @@ class TestEnsemble:
         expected = np.mean(hand_members(manifest, registry, 2, 6), axis=0)
         np.testing.assert_allclose([s for _, s in rows], expected, atol=1e-12)
 
+    def test_training_manifest_resolved_once(self, small_corpus,
+                                             monkeypatch):
+        """Without a target manifest the training bundles are scored, so
+        each video is resolved once, and the scores are those of an
+        explicitly resolved target."""
+        manifest, _ = small_corpus
+        registry = toy_registry()
+        explicit = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=2,
+                                    target_manifest=manifest, master_seed=6,
+                                    extraction=EXTRACTION)
+        resolved, resolve = [], harness.resolve_bundle
+
+        def counting(rec, *args):
+            resolved.append(rec.video_id)
+            return resolve(rec, *args)
+
+        monkeypatch.setattr(harness, "resolve_bundle", counting)
+        rows = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=2,
+                                master_seed=6, extraction=EXTRACTION)
+        assert len(manifest) == 24
+        assert resolved == [r.video_id for r in manifest.records]
+        assert rows == explicit
+
     def test_k_below_two_rejected(self, small_corpus):
         manifest, _ = small_corpus
         with pytest.raises(ManifestError):
@@ -186,6 +215,32 @@ class TestEnsemble:
 
 
 class TestPredict:
+    def test_video_score_does_not_depend_on_neighbours(self, tmp_path):
+        """Each video's score is byte-equal whether it is predicted with
+        its manifest, the reversed manifest, or alone; token head, 3 to 8
+        key frames."""
+        registry = token_registry()
+        records = []
+        for i, n_z in enumerate((3, 5, 8, 4)):
+            bundle = token_bundle(n_z=n_z, seed=40 + i)
+            for source in registry:
+                save_sidecar(source, bundle.matrices[source.name],
+                             tmp_path / f"v{i}" / f"{source.name}.rqvf")
+            records.append(ManifestRecord(f"v{i}", str(tmp_path / f"v{i}"),
+                                          float(i), f"s{i}"))
+        head = build_head(ConcatLayout.from_registry(registry),
+                          TrainConfig(hidden=8, mhsa_heads=2), seed=3)
+
+        def score_bytes(recs):
+            rows = predict_scores(head, DatasetManifest(records=recs),
+                                  registry, EXTRACTION)
+            return {vid: np.float64(score).tobytes() for vid, score in rows}
+
+        together = score_bytes(records)
+        assert score_bytes(records[::-1]) == together
+        for rec in records:
+            assert score_bytes([rec]) == {rec.video_id: together[rec.video_id]}
+
     def test_predictions_deterministic_and_formatted(self, small_corpus,
                                                      tmp_path):
         manifest, _ = small_corpus

@@ -18,6 +18,23 @@ from rqvqa.metrics import (
 )
 
 
+def loop_rankdata(x):
+    """Tie-group walk over the stably sorted values: the average 1-based
+    rank of sorted positions i..j is (i + j) / 2 + 1."""
+    v = np.asarray(x, dtype=np.float64).ravel()
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    sorted_v = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def brute_pearson(x, y):
     """Independent direct-formula oracle."""
     n = len(x)
@@ -103,6 +120,19 @@ class TestSpearman:
         np.testing.assert_allclose(rankdata([10, 20, 20, 30]),
                                    [1.0, 2.5, 2.5, 4.0])
         np.testing.assert_allclose(rankdata([5, 5, 5]), [2.0, 2.0, 2.0])
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0]),
+        st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_rankdata_matches_loop_oracle_bytes(self, xs):
+        # tie-heavy draws; -0.0 and 0.0 compare equal and share a rank
+        assert rankdata(xs).tobytes() == loop_rankdata(xs).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rankdata_rejects_non_finite(self, bad):
+        with pytest.raises(MetricError, match="non-finite"):
+            rankdata([1.0, bad, 2.0])
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(2)
