@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +71,7 @@ def cmd_preprocess(args) -> int:
 
     out = Path(args.out)
     cropped = []
-    for i, frame in enumerate(keys.frames):
+    for i, frame in enumerate(keys):
         resized = resize_min_side(frame, pp.keyframe_min_side)
         seed = pp.crop_seed + i if pp.crop_mode == "random" else None
         cropped.append(crop(resized, pp.keyframe_crop, mode=pp.crop_mode,
@@ -81,11 +82,11 @@ def cmd_preprocess(args) -> int:
     resized_chunks = np.stack([
         np.stack([resize_exact(f, pp.chunk_size, pp.chunk_size)
                   for f in chunk])
-        for chunk in chunks.chunks])
+        for chunk in chunks])
     flat = resized_chunks.reshape(-1, pp.chunk_size, pp.chunk_size, 3)
     save_raw_video(VideoFrames.from_array(flat, frame_rate=video.frame_rate),
                    out / "chunks")
-    print(f"wrote {keys.count} key frames and {chunks.count} chunks under {out}")
+    print(f"wrote {len(keys)} key frames and {len(chunks)} chunks under {out}")
     return 0
 
 
@@ -93,15 +94,14 @@ def cmd_gms(args) -> int:
     cfg = _config(args)
     ex = cfg.extraction
     video = load_raw_video(args.video)
-    frames = video if ex.gms_all_frames else extract_key_frames(video)
+    frames = video.frames if ex.gms_all_frames else extract_key_frames(video)
     plan = gms_mod.make_plan(video.width, video.height, ex.gms_grid_count,
                              ex.gms_patch_size, ex.gms_seed)
     volume = gms_mod.sample_fragments(frames, plan)
     fps = video.frame_rate if ex.gms_all_frames else 1
-    save_raw_video(VideoFrames.from_array(volume.frames, frame_rate=fps),
-                   args.out)
+    save_raw_video(VideoFrames.from_array(volume, frame_rate=fps), args.out)
     side = plan.grid_count * plan.patch_size
-    print(f"wrote {volume.frames.shape[0]} fragment frames "
+    print(f"wrote {volume.shape[0]} fragment frames "
           f"({side}x{side}) under {args.out}")
     return 0
 
@@ -125,8 +125,9 @@ def cmd_train(args) -> int:
     registry = cfg.build_registry()
     manifest = load_manifest(args.manifest)
     dataset = load_bundles(manifest, registry, cfg.extraction)
-    result = train(dataset, registry, cfg.train)
-    save_checkpoint(args.out, result.head, cfg.train, master_seed=cfg.seed)
+    train_cfg = replace(cfg.train, seed=cfg.seed)
+    result = train(dataset, registry, train_cfg)
+    save_checkpoint(args.out, result.head, train_cfg, master_seed=cfg.seed)
     losses = result.trace.epoch_losses
     print(f"trained {result.trace.steps} steps "
           f"(skipped {result.trace.skipped_batches} constant-label batches); "

@@ -91,15 +91,9 @@ _KEYS = {
     "train.learning_rate": ("train", "learning_rate", float),
     "train.batch_size": ("train", "batch_size", int),
     "train.epochs": ("train", "epochs", int),
-    "train.lr_decay_factor": ("train", "lr_decay_factor", float),
     "train.lr_decay_epoch": ("train", "lr_decay_epoch", int),
-    "train.beta1": ("train", "beta1", float),
-    "train.beta2": ("train", "beta2", float),
-    "train.eps": ("train", "eps", float),
-    "train.seed": ("train", "seed", int),
     "train.loss": ("train", "loss", str),
     "train.hidden": ("train", "hidden", int),
-    "train.activation": ("train", "activation", str),
     "train.mhsa_heads": ("train", "mhsa_heads", int),
     "gms.grid_count": ("extraction", "gms_grid_count", int),
     "gms.patch_size": ("extraction", "gms_patch_size", int),

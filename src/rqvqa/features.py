@@ -36,7 +36,7 @@ from .errors import (
     SidecarTruncatedError,
     SidecarVersionError,
 )
-from .gms import FragmentVolume, make_plan, sample_fragments
+from .gms import make_plan, sample_fragments
 from .preproc import VideoFrames, extract_chunks, extract_key_frames
 
 MAGIC = b"RQVF"
@@ -339,9 +339,9 @@ def toy_motionstats(chunk: np.ndarray) -> np.ndarray:
     return np.concatenate([stats, hist])
 
 
-def toy_fragmentstats(fragments: FragmentVolume) -> np.ndarray:
+def toy_fragmentstats(fragments: np.ndarray) -> np.ndarray:
     """Pixel statistics of the temporally averaged fragment frame."""
-    mean_frame = np.asarray(fragments.frames, dtype=np.float64).mean(axis=0)
+    mean_frame = np.asarray(fragments, dtype=np.float64).mean(axis=0)
     return toy_pixelstats(mean_frame)
 
 
@@ -362,13 +362,12 @@ class ExtractionConfig:
 def _toy_matrix(toy: str, video: VideoFrames,
                 extraction: ExtractionConfig) -> np.ndarray:
     if toy == "pixelstats":
-        keys = extract_key_frames(video)
-        return np.stack([toy_pixelstats(f) for f in keys.frames])
+        return np.stack([toy_pixelstats(f) for f in extract_key_frames(video)])
     if toy == "motionstats":
-        chunks = extract_chunks(video)
-        return np.stack([toy_motionstats(c) for c in chunks.chunks])
+        return np.stack([toy_motionstats(c) for c in extract_chunks(video)])
     if toy == "fragmentstats":
-        frames = video if extraction.gms_all_frames else extract_key_frames(video)
+        frames = (video.frames if extraction.gms_all_frames
+                  else extract_key_frames(video))
         plan = make_plan(video.width, video.height, extraction.gms_grid_count,
                          extraction.gms_patch_size, extraction.gms_seed)
         return toy_fragmentstats(sample_fragments(frames, plan))[None, :]

@@ -22,9 +22,15 @@ from .features import FeatureBundle, SourceRegistry
 
 EPS_NORM = 1e-8  # stabilizer added to each norm in the correlation loss
 ADAM_BLOCK = 8192  # elements per in-place Adam block (64 KiB of float64)
+# the paper trains with plain Adam and one 10x learning-rate drop, so these
+# are constants, not configuration
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_DECAY_FACTOR = 10.0
 
 CHECKPOINT_MAGIC = b"RQVC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +100,12 @@ class MhsaPool:
 
 @dataclass
 class MlpHead:
-    """Two-layer regression head: w2 . act(w1^T f + b1) + b2."""
+    """Two-layer regression head: w2 . relu(w1^T f + b1) + b2."""
 
     w1: np.ndarray  # (total_dim, hidden)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: float
-    activation: str = "relu"
 
 
 @dataclass
@@ -115,15 +120,10 @@ class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 6
     epochs: int = 30
-    lr_decay_factor: float = 10.0
     lr_decay_epoch: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     loss: str = "plcc"        # or "mse"
     hidden: int = 128
-    activation: str = "relu"
     mhsa_heads: int = 8
 
     def __post_init__(self):
@@ -132,31 +132,10 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "hidden", "mhsa_heads"):
             if getattr(self, name) < 1:
                 raise TrainingError(f"{name} must be >= 1")
-        if self.lr_decay_factor <= 0 or self.eps <= 0:
-            raise TrainingError("lr_decay_factor and eps must be > 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise TrainingError("adam betas must lie in [0, 1)")
         if self.lr_decay_epoch > self.epochs:
             raise TrainingError("lr_decay_epoch must be <= epochs")
         if self.loss not in ("plcc", "mse"):
             raise TrainingError(f"unknown loss {self.loss!r}")
-        if self.activation not in _ACTIVATIONS:
-            raise TrainingError(f"unknown activation {self.activation!r}")
-
-
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_prime(z):
-    return (z > 0.0).astype(np.float64)
-
-
-def _tanh_prime(z):
-    return 1.0 - np.tanh(z) ** 2
-
-
-_ACTIVATIONS = {"relu": (_relu, _relu_prime), "tanh": (np.tanh, _tanh_prime)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +245,8 @@ def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
             f"{mlp.w1.shape[0]}")
     if not np.all(np.isfinite(f)):
         raise TrainingError("non-finite feature vector")
-    act, _ = _ACTIVATIONS[mlp.activation]
     z = f @ mlp.w1 + mlp.b1
-    a = act(z)
+    a = np.maximum(z, 0.0)
     return z, a, a @ mlp.w2 + mlp.b2
 
 
@@ -370,10 +348,9 @@ def _zeros_like_params(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _head_from_params(layout, params, activation, heads):
+def _head_from_params(layout, params, heads):
     mlp = MlpHead(w1=params["w1"], b1=params["b1"], w2=params["w2"],
-                  b2=float(np.asarray(params["b2"]).item()),
-                  activation=activation)
+                  b2=float(np.asarray(params["b2"]).item()))
     pool = None
     if "wo" in params:
         pool = MhsaPool(head_count=heads, wq=params["wq"], wk=params["wk"],
@@ -402,7 +379,6 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     page-faulting a parameter-sized dict per step.
     """
     loss_fn, loss_grad_fn = _LOSSES[loss]
-    _, act_prime = _ACTIVATIONS[head.mlp.activation]
     layout, mlp = head.layout, head.mlp
     preds, (counts, feats, z, a, mhsa_cache) = _forward(
         [bundle for bundle, _ in batch], head)
@@ -416,7 +392,7 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     u = np.repeat(dpred / counts, counts)        # upstream per row score
     np.matmul(u, a, out=grads["w2"])
     grads["b2"][...] = u.sum()
-    dz = (u[:, None] * mlp.w2) * act_prime(z)    # (rows, hidden)
+    dz = (u[:, None] * mlp.w2) * (z > 0.0)       # (rows, hidden), relu'(z)
     np.matmul(feats.T, dz, out=grads["w1"])
     np.sum(dz, axis=0, out=grads["b1"])
     if mhsa_cache is not None:
@@ -441,7 +417,8 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
               epoch: int = 0):
-    """One bias-corrected Adam update; lr drops once epoch >= lr_decay_epoch.
+    """One bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS); lr
+    drops LR_DECAY_FACTOR-fold once epoch >= lr_decay_epoch.
 
     params, state.m and state.v are updated in place and returned as
     (params, state). Each element goes through the same operations, in the
@@ -456,8 +433,8 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
             raise TrainingError(f"non-finite gradient for {k!r}")
     lr = cfg.learning_rate
     if epoch >= cfg.lr_decay_epoch:
-        lr /= cfg.lr_decay_factor
-    bias1, bias2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+        lr /= LR_DECAY_FACTOR
+    bias1, bias2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     for k, p in params.items():
         # blocks of ADAM_BLOCK elements keep the scratch buffers small, so no
         # large temporary is allocated (and page-faulted in) on every step
@@ -469,23 +446,23 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
             buffersize=ADAM_BLOCK)
         with blocks:
             for block in blocks:
-                _adam_update(*block, lr, bias1, bias2, cfg)
+                _adam_update(*block, lr, bias1, bias2)
     return params, state
 
 
-def _adam_update(p, g, m, v, lr, bias1, bias2, cfg: TrainConfig):
+def _adam_update(p, g, m, v, lr, bias1, bias2):
     """Adam update of one block of p, m and v, in place."""
     tmp, step = np.empty_like(p), np.empty_like(p)
-    np.multiply(1.0 - cfg.beta1, g, out=tmp)
-    m *= cfg.beta1
+    np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+    m *= ADAM_BETA1
     m += tmp
-    np.multiply(1.0 - cfg.beta2, g, out=tmp)
+    np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
     tmp *= g
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     v += tmp
     np.divide(v, bias2, out=tmp)                 # v_hat
     np.sqrt(tmp, out=tmp)
-    tmp += cfg.eps
+    tmp += ADAM_EPS
     np.divide(m, bias1, out=step)                # m_hat
     step *= lr
     step /= tmp
@@ -572,8 +549,7 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
             if np.all(labels == labels[0]):
                 trace.skipped_batches += 1
                 continue
-            head = _head_from_params(layout, params, cfg.activation,
-                                     cfg.mhsa_heads)
+            head = _head_from_params(layout, params, cfg.mhsa_heads)
             loss_value, _ = backprop(batch, head, loss=cfg.loss,
                                      grads=grads)
             t += 1
@@ -582,7 +558,7 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
         trace.epoch_losses.append(float(np.mean(losses)) if losses
                                   else float("nan"))
     trace.steps = t
-    head = _head_from_params(layout, params, cfg.activation, cfg.mhsa_heads)
+    head = _head_from_params(layout, params, cfg.mhsa_heads)
     return TrainResult(head=head, trace=trace)
 
 
@@ -598,7 +574,6 @@ def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
     header = {
         "layout": [[e.name, e.dim, e.granularity, e.token_count]
                    for e in head.layout.entries],
-        "activation": head.mlp.activation,
         "mhsa_heads": head.pool.head_count if head.pool else None,
         "train_config": asdict(cfg),
         "seed": master_seed,
@@ -621,8 +596,7 @@ def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
     return path
 
 
-_CHECKPOINT_KEYS = ("activation", "layout", "mhsa_heads", "seed", "tensors",
-                    "train_config")
+_CHECKPOINT_KEYS = ("layout", "mhsa_heads", "seed", "tensors", "train_config")
 
 
 def _checkpoint_shapes(layout: ConcatLayout, hidden: int,
@@ -676,9 +650,6 @@ def load_checkpoint(path: str | Path):
         cfg = TrainConfig(**header["train_config"])
         heads = header["mhsa_heads"] or cfg.mhsa_heads
         shapes = _checkpoint_shapes(layout, cfg.hidden, heads)
-        if header["activation"] not in _ACTIVATIONS:
-            raise CheckpointError(
-                f"{path}: unknown activation {header['activation']!r}")
     except (TypeError, ValueError, TrainingError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     if header["tensors"] != sorted(shapes):
@@ -712,5 +683,5 @@ def load_checkpoint(path: str | Path):
             f"{path}: {len(data) - offset} trailing bytes after the last "
             f"tensor")
 
-    head = _head_from_params(layout, tensors, header["activation"], heads)
+    head = _head_from_params(layout, tensors, heads)
     return head, cfg, header["seed"]

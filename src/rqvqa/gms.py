@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .preproc import KeyFrameSet, VideoFrames
 
 
 @dataclass(frozen=True)
@@ -25,12 +24,6 @@ class GmsPlan:
     cell_bounds: np.ndarray  # (G, G, 4): y0, x0, cell_h, cell_w per cell
     offsets: np.ndarray      # (G, G, 2): dy, dx of the patch inside its cell
     seed: int
-
-
-@dataclass(frozen=True)
-class FragmentVolume:
-    frames: np.ndarray  # (F, G*patch, G*patch, 3)
-    plan: GmsPlan
 
 
 def _cell_edges(length: int, parts: int) -> np.ndarray:
@@ -77,10 +70,9 @@ def make_plan(width: int, height: int, grid_count: int, patch_size: int,
                    seed=seed)
 
 
-def sample_fragments(frames, plan: GmsPlan) -> FragmentVolume:
-    """Assemble the fragment volume by applying one plan to every frame."""
-    if isinstance(frames, (VideoFrames, KeyFrameSet)):
-        frames = frames.frames
+def sample_fragments(frames: np.ndarray, plan: GmsPlan) -> np.ndarray:
+    """(F, G*patch, G*patch, 3) fragment volume of (F, H, W, 3) frames, one
+    plan applied to every frame."""
     frames = np.asarray(frames)
     if frames.ndim != 4 or frames.shape[3] != 3:
         raise GeometryError(f"expected (F, H, W, 3) frames, got {frames.shape}")
@@ -99,4 +91,4 @@ def sample_fragments(frames, plan: GmsPlan) -> FragmentVolume:
             sy, sx = y0 + dy, x0 + dx
             out[:, a * p:(a + 1) * p, b * p:(b + 1) * p] = \
                 frames[:, sy:sy + p, sx:sx + p]
-    return FragmentVolume(frames=out, plan=plan)
+    return out

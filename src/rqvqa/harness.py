@@ -2,7 +2,9 @@
 
 Manifests are UTF-8 CSV with header video_id,path,mos,scene_id. Each path is
 a directory holding either a raw video (meta.txt + frames), sidecar .rqvf
-files, or both; sidecars take precedence per source.
+files, or both; sidecars take precedence per source. A relative path is
+resolved against the manifest's directory, not the working directory, and
+loads as an absolute path.
 
 Seed scheme: split k of a run uses seed master + k, the matching training run
 uses master + 100000 + k, so repeated experiments are reproducible and
@@ -82,7 +84,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             except ValueError:
                 raise ManifestError(
                     f"{path}:{lineno}: bad mos {row[2]!r}") from None
-            records.append(ManifestRecord(row[0], row[1], mos, row[3]))
+            video_path = row[1]
+            if not Path(video_path).is_absolute():
+                video_path = str(path.absolute().parent / video_path)
+            records.append(ManifestRecord(row[0], video_path, mos, row[3]))
     return DatasetManifest(records=records)
 
 

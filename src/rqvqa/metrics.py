@@ -93,7 +93,9 @@ def fit_4pl(pred, mos, max_iter: int = 200,
     """Least-squares logistic fit via Levenberg-damped Gauss-Newton.
 
     Starts from beta = (max(mos), min(mos), mean(pred), std(pred)/4) and
-    returns the best parameters found within the iteration budget.
+    returns the best parameters found within the iteration budget. A best
+    fit with beta1 <= beta2 maps higher predictions to lower quality; it is
+    rejected, so that a negative correlation keeps its sign.
     """
     x, y = _paired(pred, mos)
     if x.size < 5:
@@ -153,6 +155,10 @@ def fit_4pl(pred, mos, max_iter: int = 200,
             lam *= 10.0
             if lam > 1e12:
                 break
+    if best_beta[0] <= best_beta[1]:
+        raise MetricError(
+            f"logistic fit is not increasing (beta1={best_beta[0]:.6g} <= "
+            f"beta2={best_beta[1]:.6g})")
     return FourPLParams(*best_beta)
 
 
@@ -177,7 +183,8 @@ class EvalReport:
 
 
 def evaluate(pred, mos) -> EvalReport:
-    """Full criteria set; falls back to the raw PLCC if the fit degenerates."""
+    """Full criteria set; falls back to the raw PLCC if the fit degenerates
+    or is not increasing."""
     x, y = _paired(pred, mos)
     srcc = spearman(x, y)
     plcc_raw = pearson(x, y)

@@ -65,23 +65,6 @@ class VideoFrames:
                    frame_count=n)
 
 
-@dataclass(frozen=True)
-class KeyFrameSet:
-    """First frame of every full second: key frame i is source frame i*r."""
-
-    frames: np.ndarray          # (count, H, W, 3)
-    source_indices: np.ndarray  # (count,)
-    count: int
-
-
-@dataclass(frozen=True)
-class ChunkSet:
-    """One-second chunks: chunk i spans frames [i*r, (i+1)*r - 1]."""
-
-    chunks: np.ndarray  # (count, r, H, W, 3)
-    count: int
-
-
 def load_raw_video(directory: str | Path) -> VideoFrames:
     """Read a raw video directory back into memory, validating as it goes."""
     directory = Path(directory)
@@ -141,24 +124,24 @@ def save_raw_video(video: VideoFrames, directory: str | Path) -> Path:
     return directory
 
 
-def extract_key_frames(video: VideoFrames) -> KeyFrameSet:
-    """Key frame i is frame i*r; the trailing partial second is discarded."""
+def extract_key_frames(video: VideoFrames) -> np.ndarray:
+    """(N_z, H, W, 3) key frames: key frame i is frame i*r, the first frame
+    of second i; the trailing partial second is discarded."""
     r = video.frame_rate
     if video.frame_count < r:
         raise VideoFormatError("video shorter than one second")
     n_z = video.frame_count // r
-    idx = np.arange(n_z) * r
-    return KeyFrameSet(frames=video.frames[idx], source_indices=idx, count=n_z)
+    return video.frames[np.arange(n_z) * r]
 
 
-def extract_chunks(video: VideoFrames) -> ChunkSet:
-    """Split into N_z chunks of exactly r consecutive frames each."""
+def extract_chunks(video: VideoFrames) -> np.ndarray:
+    """(N_z, r, H, W, 3) view: chunk i spans frames [i*r, (i+1)*r - 1]."""
     r = video.frame_rate
     if video.frame_count < r:
         raise VideoFormatError("video shorter than one second")
     n_z = video.frame_count // r
-    chunks = video.frames[: n_z * r].reshape(n_z, r, video.height, video.width, 3)
-    return ChunkSet(chunks=chunks, count=n_z)
+    return video.frames[: n_z * r].reshape(n_z, r, video.height,
+                                           video.width, 3)
 
 
 def _iround(x: float) -> int:

@@ -129,12 +129,14 @@ def draw_levels(rng: np.random.Generator, band) -> tuple[float, float, float]:
 def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int, *,
                           width: int = 64, height: int = 64, fps: int = 4,
                           seconds: int = 2, videos_per_scene: int = 4):
-    """Generate videos plus a manifest.csv; returns the manifest.
+    """Generate videos plus a manifest.csv whose paths are relative to
+    out_dir; returns the manifest as load_manifest reads it back.
 
     Scene k holds one pristine clip and videos_per_scene - 1 degraded
     variants cycling through the low/mid/high degradation bands.
     """
-    from .harness import DatasetManifest, ManifestRecord, save_manifest
+    from .harness import (DatasetManifest, ManifestRecord, load_manifest,
+                          save_manifest)
 
     if n_videos < 20:
         raise ManifestError(f"synthetic corpus needs n >= 20, got {n_videos}")
@@ -158,14 +160,12 @@ def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int, *,
             video_id = f"{scene_id}_v{k}"
             frames = degrade(clip, *levels, rng=rng)
             video = VideoFrames.from_array(frames, frame_rate=fps)
-            path = out_dir / video_id
-            save_raw_video(video, path)
+            save_raw_video(video, out_dir / video_id)
             records.append(ManifestRecord(
-                video_id=video_id, path=str(path),
+                video_id=video_id, path=video_id,
                 mos=synthetic_mos(*levels), scene_id=scene_id))
             made += 1
         scene += 1
 
-    manifest = DatasetManifest(records=records)
-    save_manifest(manifest, out_dir / "manifest.csv")
-    return manifest
+    return load_manifest(save_manifest(DatasetManifest(records=records),
+                                       out_dir / "manifest.csv"))

@@ -64,8 +64,7 @@ EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=8, gms_seed=0)
 # the schedule under test: initial rate scaled to 1e-4, decayed by 10 after
 # 10 of 30 epochs, batches of 6; head width 512 for the 40-dim toy features
 E2E_TRAIN = TrainConfig(learning_rate=1e-4, batch_size=6, epochs=30,
-                        lr_decay_factor=10.0, lr_decay_epoch=10,
-                        hidden=512, seed=100)
+                        lr_decay_epoch=10, hidden=512, seed=100)
 
 
 def report(name, ok, detail=""):
@@ -123,14 +122,14 @@ def _random_batch(layout, rng, n_videos=4, n_z=2):
 
 
 def _forward_loss(batch, layout, params, cfg):
-    head = _head_from_params(layout, params, cfg.activation, cfg.mhsa_heads)
+    head = _head_from_params(layout, params, cfg.mhsa_heads)
     preds = [video_forward(bundle, head) for bundle, _ in batch]
     return plcc_loss(preds, [mos for _, mos in batch])
 
 
 def _relu_margin(batch, layout, params, cfg):
     """Smallest |pre-activation|; guards the FD step against ReLU kinks."""
-    head = _head_from_params(layout, params, cfg.activation, cfg.mhsa_heads)
+    head = _head_from_params(layout, params, cfg.mhsa_heads)
     margin = np.inf
     for bundle, _ in batch:
         for f in per_row_fused(bundle, layout, head.pool):
@@ -160,8 +159,7 @@ def test_2_gradient_correctness():
         batch = _random_batch(layout, rng)
         if _relu_margin(batch, layout, params, cfg) < 1e-4:
             continue  # FD would straddle a ReLU kink; draw a fresh instance
-        head = _head_from_params(layout, params, cfg.activation,
-                                 cfg.mhsa_heads)
+        head = _head_from_params(layout, params, cfg.mhsa_heads)
         _, grads = backprop(batch, head)
         for key, tensor in params.items():
             flat = np.asarray(tensor, dtype=np.float64).ravel()
@@ -332,8 +330,7 @@ def test_7_fragment_geometry():
             frames = np.stack([base, base])
             frames[1, :, :, 2] = 1
             vol = sample_fragments(frames, plan)
-            assert np.array_equal(vol.frames[0, :, :, :2],
-                                  vol.frames[1, :, :, :2])
+            assert np.array_equal(vol[0, :, :, :2], vol[1, :, :, :2])
 
     # zero-slack identity, including the 224/7/32 configuration
     vid_rng = np.random.default_rng(56)
@@ -343,7 +340,7 @@ def test_7_fragment_geometry():
                                   dtype=np.uint8)
         plan = make_plan(size, size, grid, patch, seed=9)
         vol = sample_fragments(frames, plan)
-        assert np.array_equal(vol.frames, frames)
+        assert np.array_equal(vol, frames)
     report("fragment-geometry", True,
            f"{n_plans} randomized plans, zero-slack identity bit-exact")
 

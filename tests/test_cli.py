@@ -1,8 +1,18 @@
 import csv
+import struct
 
+import numpy as np
 import pytest
 
 from rqvqa.cli import main
+from rqvqa.features import (
+    ExtractionConfig,
+    assemble_bundle,
+    toy_pixelstats,
+    toy_registry,
+)
+from rqvqa.fusion import load_checkpoint, params_from_head
+from rqvqa.gms import make_plan, sample_fragments
 from rqvqa.harness import load_manifest, save_manifest
 from rqvqa.preproc import load_raw_video
 
@@ -74,6 +84,23 @@ class TestTrainPredictEval:
             (workspace / "r2.csv").read_bytes()
 
 
+class TestTrainSeed:
+    def test_seed_key_is_the_training_seed(self, workspace):
+        corpus = workspace / "corpus"
+        args = ["--config", str(workspace / "cfg.txt")]
+        trained = {}
+        for seed in (0, 7):
+            out = workspace / f"seed{seed}.ckpt"
+            assert main(["train", "--manifest", str(corpus / "manifest.csv"),
+                         "--out", str(out), "--set", f"seed={seed}"]
+                        + args) == 0
+            head, cfg, master_seed = load_checkpoint(out)
+            assert cfg.seed == master_seed == seed
+            trained[seed] = params_from_head(head)
+        assert any(not np.array_equal(trained[0][k], trained[7][k])
+                   for k in trained[0])
+
+
 class TestGmsDump:
     def test_dump_loadable(self, workspace):
         corpus = workspace / "corpus"
@@ -83,6 +110,32 @@ class TestGmsDump:
         dumped = load_raw_video(workspace / "frag")
         assert dumped.width == dumped.height == 32  # 4 cells x 8 px
         assert dumped.frame_count == 2  # one fragment frame per key frame
+
+    def test_all_frames_dump_and_fragmentstats(self, workspace):
+        path = workspace / "corpus" / "scene0000_v0"
+        video = load_raw_video(path)
+        args = ["--config", str(workspace / "cfg.txt"),
+                "--set", "gms.all_frames=true"]
+        assert main(["gms", "--video", str(path),
+                     "--out", str(workspace / "frag_all")] + args) == 0
+        dumped = load_raw_video(workspace / "frag_all")
+        assert dumped.frame_count == video.frame_count == 8
+        assert dumped.frame_rate == video.frame_rate == 4
+        plan = make_plan(64, 64, 4, 8, 0)
+        np.testing.assert_array_equal(
+            dumped.frames, sample_fragments(video.frames, plan))
+
+        def fragmentstats(all_frames):
+            extraction = ExtractionConfig(gms_grid_count=4, gms_patch_size=8,
+                                          gms_all_frames=all_frames)
+            return assemble_bundle(video, toy_registry(),
+                                   extraction=extraction
+                                   ).matrices["fragmentstats"]
+
+        np.testing.assert_array_equal(
+            fragmentstats(True)[0],
+            toy_pixelstats(dumped.frames.astype(np.float64).mean(axis=0)))
+        assert not np.array_equal(fragmentstats(True), fragmentstats(False))
 
 
 class TestFeaturesCommand:
@@ -139,6 +192,19 @@ class TestErrors:
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [
+        "train.activation", "train.beta1", "train.beta2", "train.eps",
+        "train.lr_decay_factor", "train.seed"])
+    def test_fixed_training_constants_are_not_keys(self, workspace, capsys,
+                                                   key):
+        code = main(["train", "--manifest",
+                     str(workspace / "corpus" / "manifest.csv"),
+                     "--out", str(workspace / "x.ckpt"),
+                     "--set", f"{key}=1"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: ConfigError: unknown config key {key!r}"
+
     def test_preprocess_writes_branches(self, workspace):
         corpus = workspace / "corpus"
         out = workspace / "prep"
@@ -168,6 +234,17 @@ class TestErrors:
         assert err.startswith("error: CheckpointError: ")
         assert "trailing bytes" in err
         assert "\n" not in err
+
+        old = workspace / "v1.ckpt"
+        data = bytearray((workspace / "t.ckpt").read_bytes())
+        struct.pack_into("<H", data, 4, 1)
+        old.write_bytes(bytes(data))
+        code = main(["predict", "--checkpoint", str(old),
+                     "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(workspace / "never.csv")] + args)
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: CheckpointError: {old}: unsupported version 1"
 
     def test_eval_rejects_non_numeric_data_row(self, workspace, capsys):
         rows = [f"{0.1 * i:.1f},{i}" for i in range(7)]

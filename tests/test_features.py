@@ -200,8 +200,8 @@ class TestToyFragmentstats:
     def test_matches_pixelstats_of_mean_frame(self):
         video = make_video(n_frames=4, height=16, width=16, fps=4, seed=8)
         plan = make_plan(16, 16, grid_count=4, patch_size=4, seed=0)
-        volume = sample_fragments(video, plan)
-        expected = toy_pixelstats(volume.frames.astype(np.float64).mean(axis=0))
+        volume = sample_fragments(video.frames, plan)
+        expected = toy_pixelstats(volume.astype(np.float64).mean(axis=0))
         np.testing.assert_array_equal(toy_fragmentstats(volume), expected)
 
     def test_constant_volume(self):

@@ -62,22 +62,22 @@ class TestSampleFragments:
     def test_zero_slack_reproduces_input(self):
         video = make_video(n_frames=4, height=224, width=224, fps=4)
         plan = make_plan(224, 224, grid_count=7, patch_size=32, seed=0)
-        volume = sample_fragments(video, plan)
-        np.testing.assert_array_equal(volume.frames, video.frames)
+        volume = sample_fragments(video.frames, plan)
+        np.testing.assert_array_equal(volume, video.frames)
 
     def test_single_cell_identity(self):
         video = make_video(n_frames=4, height=64, width=64, fps=4)
         plan = make_plan(64, 64, grid_count=1, patch_size=64, seed=0)
-        volume = sample_fragments(video, plan)
-        np.testing.assert_array_equal(volume.frames, video.frames)
+        volume = sample_fragments(video.frames, plan)
+        np.testing.assert_array_equal(volume, video.frames)
 
     def test_constant_frames_give_constant_fragments(self):
         frames = np.empty((2, 96, 96, 3), dtype=np.uint8)
         frames[0], frames[1] = 17, 211
         plan = make_plan(96, 96, grid_count=3, patch_size=16, seed=5)
         volume = sample_fragments(frames, plan)
-        assert np.all(volume.frames[0] == 17)
-        assert np.all(volume.frames[1] == 211)
+        assert np.all(volume[0] == 17)
+        assert np.all(volume[1] == 211)
 
     def test_temporal_alignment(self):
         # encode (y, x) coordinates in pixels; every frame must sample the
@@ -90,27 +90,26 @@ class TestSampleFragments:
         frames[1, :, :, 2] = 1  # frame marker channel
         plan = make_plan(w, h, grid_count=3, patch_size=10, seed=9)
         volume = sample_fragments(frames, plan)
-        np.testing.assert_array_equal(volume.frames[0, :, :, :2],
-                                      volume.frames[1, :, :, :2])
-        assert np.all(volume.frames[0, :, :, 2] == 0)
-        assert np.all(volume.frames[1, :, :, 2] == 1)
+        np.testing.assert_array_equal(volume[0, :, :, :2],
+                                      volume[1, :, :, :2])
+        assert np.all(volume[0, :, :, 2] == 0)
+        assert np.all(volume[1, :, :, 2] == 1)
 
     def test_block_content_matches_plan(self):
         video = make_video(n_frames=2, height=90, width=90, fps=2, seed=3)
         plan = make_plan(90, 90, grid_count=3, patch_size=10, seed=1)
-        volume = sample_fragments(video, plan)
+        volume = sample_fragments(video.frames, plan)
         for a in range(3):
             for b in range(3):
                 y0, x0 = plan.cell_bounds[a, b, 0], plan.cell_bounds[a, b, 1]
                 dy, dx = plan.offsets[a, b]
                 expected = video.frames[:, y0 + dy:y0 + dy + 10,
                                         x0 + dx:x0 + dx + 10]
-                got = volume.frames[:, a * 10:(a + 1) * 10,
-                                    b * 10:(b + 1) * 10]
+                got = volume[:, a * 10:(a + 1) * 10, b * 10:(b + 1) * 10]
                 np.testing.assert_array_equal(got, expected)
 
     def test_geometry_mismatch_rejected(self):
         video = make_video(n_frames=2, height=64, width=64, fps=2)
         plan = make_plan(90, 90, grid_count=3, patch_size=10, seed=1)
         with pytest.raises(GeometryError, match="plan was made for"):
-            sample_fragments(video, plan)
+            sample_fragments(video.frames, plan)

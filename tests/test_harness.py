@@ -1,10 +1,12 @@
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rqvqa import harness
+from rqvqa import config, harness
+from rqvqa.cli import main
 from rqvqa.config import load_config
 from rqvqa.errors import CheckpointError, ManifestError
 from rqvqa.features import ExtractionConfig, save_sidecar, toy_registry
@@ -60,6 +62,36 @@ class TestManifest:
         path.write_text("id,file,score,scene\n")
         with pytest.raises(ManifestError, match="header"):
             load_manifest(path)
+
+    def test_relative_path_resolved_against_manifest_dir(self, tmp_path,
+                                                         monkeypatch):
+        (tmp_path / "data").mkdir()
+        path = tmp_path / "data" / "m.csv"
+        path.write_text("video_id,path,mos,scene_id\n"
+                        "v1,clips/v1,1.0,s1\nv2,/abs//v2/,2.0,s1\n")
+        monkeypatch.chdir(tmp_path)
+        for manifest_path in (path, Path("data") / "m.csv"):
+            records = load_manifest(manifest_path).records
+            resolved = Path(records[0].path)
+            assert resolved.is_absolute()
+            assert resolved.resolve() == (tmp_path / "data" / "clips" /
+                                          "v1").resolve()
+            assert records[1].path == "/abs//v2/"  # absolute: unchanged
+
+    def test_synthetic_corpus_trains_from_another_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "corpus", "--n", "20"]) == 0
+        with open("corpus/manifest.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert all(row[1] == row[0] for row in rows)  # relative: the video id
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["train", "--manifest", "../corpus/manifest.csv",
+                     "--out", "m.ckpt", "--set", "train.epochs=1",
+                     "--set", "train.lr_decay_epoch=1",
+                     "--set", "train.hidden=8", "--set", "gms.grid_count=4",
+                     "--set", "gms.patch_size=8"]) == 0
 
     def test_bad_mos_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -317,6 +349,22 @@ class TestConfig:
         assert cfg.train.hidden == 32
         assert cfg.extraction.gms_grid_count == 4
         assert cfg.split.ratio == 0.7
+
+    def test_readme_config_block_lists_every_key_with_its_default(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+        [block] = [b for b in blocks if b.lstrip().startswith("seed = ")]
+        listed = {}
+        for line in block.strip().splitlines():
+            key, _, value = line.split("#")[0].partition("=")
+            listed[key.strip()] = value.strip()
+        assert set(listed) == set(config._KEYS)
+        defaults = load_config()
+        for key, value in listed.items():
+            section, attr, parsed = config._parse_setting(key, value)
+            holder = defaults if section is None else getattr(defaults,
+                                                              section)
+            assert parsed == getattr(holder, attr), key
 
     def test_unknown_key_rejected(self, tmp_path):
         from rqvqa.errors import ConfigError

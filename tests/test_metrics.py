@@ -158,6 +158,12 @@ class TestSpearman:
         assert spearman(tx, y) == pytest.approx(spearman(x, y), abs=1e-12)
 
 
+def anti_correlated(n=200):
+    rng = np.random.default_rng(0)
+    mos = rng.uniform(1, 5, size=n)
+    return -mos + rng.normal(0, 1.6, size=n), mos
+
+
 class TestFourPL:
     def test_exact_recovery(self):
         rng = np.random.default_rng(3)
@@ -196,8 +202,12 @@ class TestFourPL:
             fit = fit_4pl(pred, mos)
             grid = np.linspace(pred.min(), pred.max(), 100)
             mapped = apply_4pl(fit, grid)
-            diffs = np.diff(mapped)
-            assert np.all(diffs >= 0) or np.all(diffs <= 0)
+            assert np.all(np.diff(mapped) >= 0)
+            assert fit.beta1 > fit.beta2
+
+    def test_decreasing_map_rejected(self):
+        with pytest.raises(MetricError, match="not increasing"):
+            fit_4pl(*anti_correlated())
 
 
 class TestEvaluate:
@@ -230,6 +240,15 @@ class TestEvaluate:
         rep = evaluate([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.8])
         assert rep.fit_failed
         assert rep.fit is None
+        assert rep.plcc_4pl == rep.plcc_raw
+
+    def test_anti_correlated_prediction_keeps_its_sign(self):
+        # the best logistic fit of this sample is decreasing (beta1 < beta2)
+        # and would report plcc_4pl = +0.66 for plcc_raw = -0.63
+        pred, mos = anti_correlated()
+        rep = evaluate(pred, mos)
+        assert rep.fit_failed and rep.fit is None
+        assert rep.plcc_raw < -0.6
         assert rep.plcc_4pl == rep.plcc_raw
 
     def test_report_range_validated(self):

@@ -77,36 +77,35 @@ class TestKeyFramesAndChunks:
     def test_240_frames_at_30fps(self):
         video = make_video(n_frames=240, height=4, width=4, fps=30)
         keys = extract_key_frames(video)
-        assert keys.count == 8
-        np.testing.assert_array_equal(keys.source_indices,
-                                      np.arange(8) * 30)
+        assert keys.shape == (8, 4, 4, 3)
+        for i in range(8):
+            np.testing.assert_array_equal(keys[i], video.frames[i * 30])
 
     def test_trailing_partial_second_discarded(self):
         video = make_video(n_frames=250, height=4, width=4, fps=30)
         keys = extract_key_frames(video)
-        assert keys.count == 8  # frames 240-249 unused
+        assert len(keys) == 8  # frames 240-249 unused
 
     def test_single_second(self):
         video = make_video(n_frames=30, height=4, width=4, fps=30)
         keys = extract_key_frames(video)
-        assert keys.count == 1
-        assert keys.source_indices[0] == 0
+        assert len(keys) == 1
+        np.testing.assert_array_equal(keys[0], video.frames[0])
 
     def test_chunk_bounds(self):
         video = make_video(n_frames=240, height=4, width=4, fps=30)
         chunks = extract_chunks(video)
-        assert chunks.count == 8
-        np.testing.assert_array_equal(chunks.chunks[2],
-                                      video.frames[60:90])
+        assert chunks.shape == (8, 30, 4, 4, 3)
+        np.testing.assert_array_equal(chunks[2], video.frames[60:90])
 
     def test_two_chunks(self):
         video = make_video(n_frames=60, height=4, width=4, fps=30)
-        assert extract_chunks(video).count == 2
+        assert len(extract_chunks(video)) == 2
 
     def test_partition_property(self):
         video = make_video(n_frames=250, height=4, width=4, fps=30)
         chunks = extract_chunks(video)
-        stitched = chunks.chunks.reshape(-1, 4, 4, 3)
+        stitched = chunks.reshape(-1, 4, 4, 3)
         np.testing.assert_array_equal(stitched, video.frames[:240])
 
     @given(n_seconds=st.integers(1, 6), extra=st.integers(0, 9),
@@ -118,10 +117,10 @@ class TestKeyFramesAndChunks:
                            seed=n)
         keys = extract_key_frames(video)
         chunks = extract_chunks(video)
-        assert keys.count == chunks.count == n // fps
-        for i in range(keys.count):
-            np.testing.assert_array_equal(keys.frames[i],
-                                          chunks.chunks[i][0])
+        assert len(keys) == len(chunks) == n // fps
+        for i in range(len(keys)):
+            np.testing.assert_array_equal(keys[i], video.frames[i * fps])
+            np.testing.assert_array_equal(keys[i], chunks[i][0])
 
 
 class TestResize:
