@@ -16,10 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gms as gms_mod
 from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
-from .features import save_sidecar
+from .features import (
+    backbone_registry_from_sidecars,
+    fragment_volume,
+    save_sidecar,
+    toy_registry,
+)
 from .fusion import load_checkpoint, save_checkpoint, train
 from .harness import (
     ensemble_predict,
@@ -51,6 +55,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config(args) -> RunConfig:
     return load_config(args.config, args.overrides)
+
+
+def _manifest_and_registry(cfg: RunConfig, path: str):
+    """The manifest at path, and the registry cfg names for it."""
+    manifest = load_manifest(path)
+    if cfg.registry == "toy":
+        return manifest, toy_registry()
+    if not manifest.records:
+        raise ManifestError(
+            f"{path}: no video to read the backbone sidecar widths from")
+    return manifest, backbone_registry_from_sidecars(manifest.records[0].path)
 
 
 def cmd_synth(args) -> int:
@@ -92,24 +107,18 @@ def cmd_preprocess(args) -> int:
 
 def cmd_gms(args) -> int:
     cfg = _config(args)
-    ex = cfg.extraction
     video = load_raw_video(args.video)
-    frames = video.frames if ex.gms_all_frames else extract_key_frames(video)
-    plan = gms_mod.make_plan(video.width, video.height, ex.gms_grid_count,
-                             ex.gms_patch_size, ex.gms_seed)
-    volume = gms_mod.sample_fragments(frames, plan)
-    fps = video.frame_rate if ex.gms_all_frames else 1
+    volume = fragment_volume(video, cfg.extraction)
+    fps = video.frame_rate if cfg.extraction.gms_all_frames else 1
     save_raw_video(VideoFrames.from_array(volume, frame_rate=fps), args.out)
-    side = plan.grid_count * plan.patch_size
     print(f"wrote {volume.shape[0]} fragment frames "
-          f"({side}x{side}) under {args.out}")
+          f"({volume.shape[2]}x{volume.shape[1]}) under {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
     cfg = _config(args)
-    registry = cfg.build_registry()
-    manifest = load_manifest(args.manifest)
+    manifest, registry = _manifest_and_registry(cfg, args.manifest)
     out = Path(args.out)
     for rec in manifest.records:
         bundle = resolve_bundle(rec, registry, cfg.extraction)
@@ -122,8 +131,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    registry = cfg.build_registry()
-    manifest = load_manifest(args.manifest)
+    manifest, registry = _manifest_and_registry(cfg, args.manifest)
     dataset = load_bundles(manifest, registry, cfg.extraction)
     train_cfg = replace(cfg.train, seed=cfg.seed)
     result = train(dataset, registry, train_cfg)
@@ -137,9 +145,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _config(args)
-    registry = cfg.build_registry()
     head, _, _ = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
+    manifest, registry = _manifest_and_registry(cfg, args.manifest)
     rows = predict_scores(head, manifest, registry, cfg.extraction)
     write_predictions(rows, args.out)
     print(f"wrote {len(rows)} predictions to {args.out}")
@@ -192,11 +199,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = _config(args)
-    registry = cfg.build_registry()
-    train_manifest = load_manifest(args.train_manifest)
+    manifest, registry = _manifest_and_registry(cfg, args.train_manifest)
     target = load_manifest(args.target_manifest) if args.target_manifest \
         else None
-    rows = ensemble_predict(train_manifest, registry, cfg.train,
+    rows = ensemble_predict(manifest, registry, cfg.train,
                             k_splits=args.k, target_manifest=target,
                             master_seed=cfg.seed, ratio=cfg.split.ratio,
                             grouping=cfg.split.grouping,

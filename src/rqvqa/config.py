@@ -18,8 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .features import ExtractionConfig, SourceRegistry, backbone_registry, toy_registry
+from .features import ExtractionConfig
 from .fusion import TrainConfig
+from .harness import COMBINERS, GROUPINGS
+from .preproc import CROP_MODES
+
+# backbone sources take their widths from the first video's sidecar headers
+REGISTRIES = ("toy", "backbone")
 
 
 @dataclass(frozen=True)
@@ -38,36 +43,14 @@ class SplitConfig:
 
 
 @dataclass(frozen=True)
-class RegistryConfig:
-    kind: str = "toy"            # toy | backbone
-    spatial_dim: int = 1024
-    temporal_dim: int = 256
-    lmm_dim: int = 4096
-    spatiotemporal_dim: int = 768
-    spatial_tokens: int = 0      # > 0 enables learnable attention pooling
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
+    registry: str = "toy"
     train: TrainConfig = field(default_factory=TrainConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     preproc: PreprocConfig = field(default_factory=PreprocConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
-    registry: RegistryConfig = field(default_factory=RegistryConfig)
     ensemble_combiner: str = "mean"
-
-    def build_registry(self) -> SourceRegistry:
-        if self.registry.kind == "toy":
-            return toy_registry()
-        if self.registry.kind == "backbone":
-            return backbone_registry(
-                spatial_dim=self.registry.spatial_dim,
-                temporal_dim=self.registry.temporal_dim,
-                lmm_dim=self.registry.lmm_dim,
-                spatiotemporal_dim=self.registry.spatiotemporal_dim,
-                spatial_tokens=self.registry.spatial_tokens)
-        raise ConfigError(f"unknown registry kind {self.registry.kind!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -78,16 +61,19 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _one_of(choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text in choices:
+            return text
+        raise ConfigError(f"expected one of {', '.join(choices)}, got {text!r}")
+    return parse
+
+
 # key -> (section attr or None for top level, field name, parser)
 _KEYS = {
     "seed": (None, "seed", int),
-    "ensemble.combiner": (None, "ensemble_combiner", str),
-    "registry": ("registry", "kind", str),
-    "registry.spatial_dim": ("registry", "spatial_dim", int),
-    "registry.temporal_dim": ("registry", "temporal_dim", int),
-    "registry.lmm_dim": ("registry", "lmm_dim", int),
-    "registry.spatiotemporal_dim": ("registry", "spatiotemporal_dim", int),
-    "registry.spatial_tokens": ("registry", "spatial_tokens", int),
+    "ensemble.combiner": (None, "ensemble_combiner", _one_of(COMBINERS)),
+    "registry": (None, "registry", _one_of(REGISTRIES)),
     "train.learning_rate": ("train", "learning_rate", float),
     "train.batch_size": ("train", "batch_size", int),
     "train.epochs": ("train", "epochs", int),
@@ -101,11 +87,11 @@ _KEYS = {
     "gms.all_frames": ("extraction", "gms_all_frames", _parse_bool),
     "preproc.keyframe_min_side": ("preproc", "keyframe_min_side", int),
     "preproc.keyframe_crop": ("preproc", "keyframe_crop", int),
-    "preproc.crop_mode": ("preproc", "crop_mode", str),
+    "preproc.crop_mode": ("preproc", "crop_mode", _one_of(CROP_MODES)),
     "preproc.crop_seed": ("preproc", "crop_seed", int),
     "preproc.chunk_size": ("preproc", "chunk_size", int),
     "split.ratio": ("split", "ratio", float),
-    "split.grouping": ("split", "grouping", str),
+    "split.grouping": ("split", "grouping", _one_of(GROUPINGS)),
 }
 
 
@@ -155,7 +141,6 @@ def load_config(path: str | Path | None = None,
         extraction=ExtractionConfig(**settings.get("extraction", {})),
         preproc=PreprocConfig(**settings.get("preproc", {})),
         split=SplitConfig(**settings.get("split", {})),
-        registry=RegistryConfig(**settings.get("registry", {})),
         **settings.get(None, {}),
     )
     return cfg

@@ -102,9 +102,6 @@ class SourceRegistry:
     def __len__(self):
         return len(self._by_name)
 
-    def __contains__(self, name):
-        return name in self._by_name
-
     def __getitem__(self, name) -> FeatureSource:
         if name not in self._by_name:
             raise FeatureError(f"unknown source {name!r}")
@@ -131,9 +128,9 @@ def backbone_registry(spatial_dim: int = 1024, temporal_dim: int = 256,
                       spatial_tokens: int = 0) -> SourceRegistry:
     """Sidecar-fed registry shaped like the full-scale pipeline.
 
-    Dims are configuration, not constants; the probability source width is
-    fixed by its label space. spatial_tokens > 0 switches the spatial source
-    to an unpooled token grid for learnable attention pooling.
+    The probability source width is fixed by its label space.
+    spatial_tokens > 0 switches the spatial source to an unpooled token grid
+    for learnable attention pooling.
     """
     if spatial_tokens:
         spatial = FeatureSource("spatial", "tokens", spatial_dim,
@@ -152,6 +149,21 @@ def backbone_registry(spatial_dim: int = 1024, temporal_dim: int = 256,
         FeatureSource("spatiotemporal", "video", spatiotemporal_dim,
                       role="video_quality"),
     ])
+
+
+def backbone_registry_from_sidecars(directory: str | Path) -> SourceRegistry:
+    """backbone_registry at the widths and spatial token count (0: pooled
+    rows) of one video's sidecar headers; every video is checked on load."""
+    paths = [Path(directory) / f"{name}.rqvf" for name in
+             ("spatial", "temporal", "frame_quality_lmm", "spatiotemporal")]
+    for path in paths:
+        if not path.is_file():
+            raise FeatureError(
+                f"{path}: sidecar missing; the backbone registry reads the "
+                f"source widths from its header")
+    headers = [load_sidecar(path) for path in paths]
+    return backbone_registry(*(matrix.shape[1] for *_, matrix in headers),
+                             spatial_tokens=headers[0][2])
 
 
 @dataclass
@@ -359,6 +371,16 @@ class ExtractionConfig:
     gms_all_frames: bool = False
 
 
+def fragment_volume(video: VideoFrames,
+                    extraction: ExtractionConfig) -> np.ndarray:
+    """Fragments of the key frames (every frame with gms_all_frames)."""
+    frames = (video.frames if extraction.gms_all_frames
+              else extract_key_frames(video))
+    plan = make_plan(video.width, video.height, extraction.gms_grid_count,
+                     extraction.gms_patch_size, extraction.gms_seed)
+    return sample_fragments(frames, plan)
+
+
 def _toy_matrix(toy: str, video: VideoFrames,
                 extraction: ExtractionConfig) -> np.ndarray:
     if toy == "pixelstats":
@@ -366,11 +388,7 @@ def _toy_matrix(toy: str, video: VideoFrames,
     if toy == "motionstats":
         return np.stack([toy_motionstats(c) for c in extract_chunks(video)])
     if toy == "fragmentstats":
-        frames = (video.frames if extraction.gms_all_frames
-                  else extract_key_frames(video))
-        plan = make_plan(video.width, video.height, extraction.gms_grid_count,
-                         extraction.gms_patch_size, extraction.gms_seed)
-        return toy_fragmentstats(sample_fragments(frames, plan))[None, :]
+        return toy_fragmentstats(fragment_volume(video, extraction))[None, :]
     raise FeatureError(f"unknown toy extractor {toy!r}")
 
 

@@ -87,11 +87,14 @@ class MhsaPool:
     wq/wk/wv have shape (heads, d, d_head); wo is (d, d). No biases.
     """
 
-    head_count: int
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
+
+    @property
+    def head_count(self) -> int:
+        return self.wq.shape[0]
 
     @property
     def dim(self) -> int:
@@ -105,7 +108,7 @@ class MlpHead:
     w1: np.ndarray  # (total_dim, hidden)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
-    b2: float
+    b2: np.ndarray  # 0-d
 
 
 @dataclass
@@ -348,13 +351,14 @@ def _zeros_like_params(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _head_from_params(layout, params, heads):
+def _head_from_params(layout, params):
+    """A head that aliases the params' arrays (b2 as a 0-d view)."""
     mlp = MlpHead(w1=params["w1"], b1=params["b1"], w2=params["w2"],
-                  b2=float(np.asarray(params["b2"]).item()))
+                  b2=params["b2"].reshape(()))
     pool = None
     if "wo" in params:
-        pool = MhsaPool(head_count=heads, wq=params["wq"], wk=params["wk"],
-                        wv=params["wv"], wo=params["wo"])
+        pool = MhsaPool(wq=params["wq"], wk=params["wk"], wv=params["wv"],
+                        wo=params["wo"])
     return FusionHead(layout=layout, mlp=mlp, pool=pool)
 
 
@@ -486,30 +490,35 @@ class TrainResult:
     trace: TrainTrace
 
 
-def init_params(layout: ConcatLayout, cfg: TrainConfig,
-                rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    d_in = layout.total_dim
-    bound1 = 1.0 / np.sqrt(d_in)
-    bound2 = 1.0 / np.sqrt(cfg.hidden)
-    params = {
-        "w1": rng.uniform(-bound1, bound1, size=(d_in, cfg.hidden)),
-        "b1": np.zeros(cfg.hidden),
-        "w2": rng.uniform(-bound2, bound2, size=cfg.hidden),
-        "b2": np.zeros(()),
-    }
+def param_shapes(layout: ConcatLayout, hidden: int,
+                 heads: int) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape of a head, in init_params' draw order; the
+    scalar b2 is one element, as save_checkpoint stores it."""
+    shapes = {"w1": (layout.total_dim, hidden), "b1": (hidden,),
+              "w2": (hidden,), "b2": (1,)}
     token = layout.token_entry()
     if token is not None:
         d = token.dim
-        if d % cfg.mhsa_heads:
+        if heads < 1 or d % heads:
             raise TrainingError(
-                f"mhsa_heads={cfg.mhsa_heads} must divide token dim {d}")
-        d_head = d // cfg.mhsa_heads
-        bound = 1.0 / np.sqrt(d)
-        for key, shape in (("wq", (cfg.mhsa_heads, d, d_head)),
-                           ("wk", (cfg.mhsa_heads, d, d_head)),
-                           ("wv", (cfg.mhsa_heads, d, d_head)),
-                           ("wo", (d, d))):
+                f"mhsa_heads={heads} does not divide token dim {d}")
+        shapes.update({key: (heads, d, d // heads)
+                       for key in ("wq", "wk", "wv")})
+        shapes["wo"] = (d, d)
+    return shapes
+
+
+def init_params(layout: ConcatLayout, cfg: TrainConfig,
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases;
+    fan_in is axis 1 of the per-head wq, wk and wv, else axis 0."""
+    params = {}
+    for key, shape in param_shapes(layout, cfg.hidden,
+                                   cfg.mhsa_heads).items():
+        if key.startswith("b"):
+            params[key] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[1] if len(shape) == 3 else shape[0])
             params[key] = rng.uniform(-bound, bound, size=shape)
     return params
 
@@ -536,6 +545,7 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
     grads = _zeros_like_params(params)
     trace = TrainTrace()
     t = 0
+    head = _head_from_params(layout, params)
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 7919, epoch]).permutation(
             len(samples))
@@ -549,7 +559,6 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
             if np.all(labels == labels[0]):
                 trace.skipped_batches += 1
                 continue
-            head = _head_from_params(layout, params, cfg.mhsa_heads)
             loss_value, _ = backprop(batch, head, loss=cfg.loss,
                                      grads=grads)
             t += 1
@@ -558,7 +567,6 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
         trace.epoch_losses.append(float(np.mean(losses)) if losses
                                   else float("nan"))
     trace.steps = t
-    head = _head_from_params(layout, params, cfg.mhsa_heads)
     return TrainResult(head=head, trace=trace)
 
 
@@ -599,25 +607,6 @@ def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
 _CHECKPOINT_KEYS = ("layout", "mhsa_heads", "seed", "tensors", "train_config")
 
 
-def _checkpoint_shapes(layout: ConcatLayout, hidden: int,
-                       heads: int) -> dict[str, tuple[int, ...]]:
-    """Tensor name -> stored shape for a head of this layout, hidden width
-    and attention head count (save_checkpoint writes the scalar b2 as one
-    element)."""
-    shapes = {"w1": (layout.total_dim, hidden), "b1": (hidden,),
-              "w2": (hidden,), "b2": (1,)}
-    token = layout.token_entry()
-    if token is not None:
-        d = token.dim
-        if heads < 1 or d % heads:
-            raise TrainingError(
-                f"mhsa_heads={heads} does not divide token dim {d}")
-        shapes.update({key: (heads, d, d // heads)
-                       for key in ("wq", "wk", "wv")})
-        shapes["wo"] = (d, d)
-    return shapes
-
-
 def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint; returns (head, cfg, master_seed).
 
@@ -649,7 +638,7 @@ def load_checkpoint(path: str | Path):
             for name, dim, gran, tok in header["layout"]))
         cfg = TrainConfig(**header["train_config"])
         heads = header["mhsa_heads"] or cfg.mhsa_heads
-        shapes = _checkpoint_shapes(layout, cfg.hidden, heads)
+        shapes = param_shapes(layout, cfg.hidden, heads)
     except (TypeError, ValueError, TrainingError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     if header["tensors"] != sorted(shapes):
@@ -683,5 +672,5 @@ def load_checkpoint(path: str | Path):
             f"{path}: {len(data) - offset} trailing bytes after the last "
             f"tensor")
 
-    head = _head_from_params(layout, tensors, heads)
+    head = _head_from_params(layout, tensors)
     return head, cfg, header["seed"]

@@ -23,7 +23,6 @@ class GmsPlan:
     frame_height: int
     cell_bounds: np.ndarray  # (G, G, 4): y0, x0, cell_h, cell_w per cell
     offsets: np.ndarray      # (G, G, 2): dy, dx of the patch inside its cell
-    seed: int
 
 
 def _cell_edges(length: int, parts: int) -> np.ndarray:
@@ -66,8 +65,7 @@ def make_plan(width: int, height: int, grid_count: int, patch_size: int,
     offsets[:, :, 1] = rng.integers(0, (cell_w - patch_size + 1)[None, :],
                                     size=(g, g))
     return GmsPlan(grid_count=g, patch_size=patch_size, frame_width=width,
-                   frame_height=height, cell_bounds=bounds, offsets=offsets,
-                   seed=seed)
+                   frame_height=height, cell_bounds=bounds, offsets=offsets)
 
 
 def sample_fragments(frames: np.ndarray, plan: GmsPlan) -> np.ndarray:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ MANIFEST_HEADER = ["video_id", "path", "mos", "scene_id"]
 PREDICTION_HEADER = ["video_id", "score"]
 
 TRAIN_SEED_STRIDE = 100_000
+GROUPINGS = ("by-scene", "by-video")
+COMBINERS = ("mean", "median")
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,6 @@ class SplitPlan:
     seed: int
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    ratio: float
-    grouping: str
 
 
 def _groups(manifest: DatasetManifest, grouping: str) -> dict[str, list[str]]:
@@ -129,7 +130,7 @@ def _groups(manifest: DatasetManifest, grouping: str) -> dict[str, list[str]]:
 def split(manifest: DatasetManifest, ratio: float = 0.8,
           grouping: str = "by-scene", seed: int = 0) -> SplitPlan:
     """Shuffle groups by seed; the first ceil(ratio * G) groups train."""
-    if grouping not in ("by-scene", "by-video"):
+    if grouping not in GROUPINGS:
         raise ManifestError(f"unknown grouping {grouping!r}")
     if not 0.0 < ratio < 1.0:
         raise ManifestError(f"ratio must be in (0, 1), got {ratio}")
@@ -144,8 +145,7 @@ def split(manifest: DatasetManifest, ratio: float = 0.8,
     test_groups = [names[i] for i in order[n_train:]]
     train_ids = tuple(vid for g in train_groups for vid in groups[g])
     test_ids = tuple(vid for g in test_groups for vid in groups[g])
-    return SplitPlan(seed=seed, train_ids=train_ids, test_ids=test_ids,
-                     ratio=ratio, grouping=grouping)
+    return SplitPlan(seed=seed, train_ids=train_ids, test_ids=test_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,9 @@ def resolve_bundle(record: ManifestRecord, registry: SourceRegistry,
     """Load pixels and/or sidecars for one manifest record."""
     path = Path(record.path)
     if not path.is_dir():
-        raise ManifestError(f"{record.video_id}: path {path} is not a directory")
+        raise ManifestError(
+            f"{record.video_id}: {path} is not a directory (a relative path "
+            f"resolves against the manifest's directory)")
     video = load_raw_video(path) if (path / META_NAME).is_file() else None
     return assemble_bundle(video, registry, sidecar_dir=path,
                            video_id=record.video_id, extraction=extraction)
@@ -188,11 +190,14 @@ def predict_scores(head: FusionHead, manifest: DatasetManifest,
 
 def _check_layout(expected: ConcatLayout, found: ConcatLayout) -> None:
     if expected.entries != found.entries:
-        exp = [(e.name, e.dim) for e in expected.entries]
-        got = [(e.name, e.dim) for e in found.entries]
+        exp, got = ([astuple(e) for e in layout.entries]
+                    for layout in (expected, found))
+        i, (a, b) = next((i, pair) for i, pair in enumerate(
+            zip_longest(exp, got)) if pair[0] != pair[1])
         raise CheckpointError(
-            f"registry does not match checkpoint layout: expected {exp}, "
-            f"found {got}")
+            f"registry does not match checkpoint layout at entry {i} "
+            f"(name, dim, granularity, token_count): checkpoint has {a}, "
+            f"registry has {b}; expected {exp}, found {got}")
 
 
 def write_predictions(rows, path: str | Path) -> Path:
@@ -302,7 +307,7 @@ def ensemble_predict(train_manifest: DatasetManifest,
     """
     if k_splits < 2:
         raise ManifestError(f"k_splits must be >= 2, got {k_splits}")
-    if combiner not in ("mean", "median"):
+    if combiner not in COMBINERS:
         raise ManifestError(f"unknown combiner {combiner!r}")
     train_bundles = _bundles_by_id(train_manifest, registry, extraction)
     if target_manifest is None:

@@ -21,31 +21,24 @@ from .errors import GeometryError, VideoFormatError
 
 META_NAME = "meta.txt"
 FRAME_PATTERN = "frame_{:06d}.rgb"
+CROP_MODES = ("center", "random")
 
 
 @dataclass(frozen=True)
 class VideoFrames:
-    """Decoded frame sequence with geometry and frame-rate metadata.
+    """Decoded frame sequence and its frame rate.
 
     frames has shape (frame_count, height, width, 3), dtype uint8.
     """
 
     frames: np.ndarray
-    width: int
-    height: int
     frame_rate: int
-    frame_count: int
 
     def __post_init__(self):
         f = self.frames
         if f.ndim != 4 or f.shape[3] != 3 or f.dtype != np.uint8:
             raise VideoFormatError(
                 f"frames must be (N, H, W, 3) uint8, got {f.shape} {f.dtype}"
-            )
-        if f.shape != (self.frame_count, self.height, self.width, 3):
-            raise VideoFormatError(
-                f"metadata {self.frame_count}x{self.height}x{self.width} "
-                f"inconsistent with frame array {f.shape}"
             )
         if not isinstance(self.frame_rate, int) or self.frame_rate < 1:
             raise VideoFormatError(
@@ -57,12 +50,22 @@ class VideoFrames:
                 f"{self.frame_rate} fps)"
             )
 
+    @property
+    def frame_count(self) -> int:
+        return self.frames.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.frames.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.frames.shape[2]
+
     @classmethod
     def from_array(cls, frames: np.ndarray, frame_rate: int) -> "VideoFrames":
-        frames = np.ascontiguousarray(frames, dtype=np.uint8)
-        n, h, w = frames.shape[:3]
-        return cls(frames=frames, width=w, height=h, frame_rate=frame_rate,
-                   frame_count=n)
+        return cls(frames=np.ascontiguousarray(frames, dtype=np.uint8),
+                   frame_rate=frame_rate)
 
 
 def load_raw_video(directory: str | Path) -> VideoFrames:
@@ -107,8 +110,7 @@ def load_raw_video(directory: str | Path) -> VideoFrames:
                 f"frame {i} has {len(data)} bytes, expected {frame_bytes}"
             )
         frames[i] = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
-    return VideoFrames(frames=frames, width=w, height=h, frame_rate=fps,
-                       frame_count=n)
+    return VideoFrames(frames=frames, frame_rate=fps)
 
 
 def save_raw_video(video: VideoFrames, directory: str | Path) -> Path:
@@ -128,8 +130,6 @@ def extract_key_frames(video: VideoFrames) -> np.ndarray:
     """(N_z, H, W, 3) key frames: key frame i is frame i*r, the first frame
     of second i; the trailing partial second is discarded."""
     r = video.frame_rate
-    if video.frame_count < r:
-        raise VideoFormatError("video shorter than one second")
     n_z = video.frame_count // r
     return video.frames[np.arange(n_z) * r]
 
@@ -137,8 +137,6 @@ def extract_key_frames(video: VideoFrames) -> np.ndarray:
 def extract_chunks(video: VideoFrames) -> np.ndarray:
     """(N_z, r, H, W, 3) view: chunk i spans frames [i*r, (i+1)*r - 1]."""
     r = video.frame_rate
-    if video.frame_count < r:
-        raise VideoFormatError("video shorter than one second")
     n_z = video.frame_count // r
     return video.frames[: n_z * r].reshape(n_z, r, video.height,
                                            video.width, 3)
@@ -205,14 +203,14 @@ def crop(frame: np.ndarray, size: int, mode: str = "center",
     h, w = frame.shape[:2]
     if h < size or w < size:
         raise GeometryError(f"frame {w}x{h} smaller than crop size {size}")
+    if mode not in CROP_MODES:
+        raise GeometryError(f"unknown crop mode {mode!r}")
     if mode == "center":
         ox = (w - size) // 2
         oy = (h - size) // 2
-    elif mode == "random":
+    else:
         rng = np.random.default_rng(seed)
         # x offset drawn first, then y
         ox = int(rng.integers(0, w - size + 1))
         oy = int(rng.integers(0, h - size + 1))
-    else:
-        raise GeometryError(f"unknown crop mode {mode!r}")
     return frame[oy:oy + size, ox:ox + size].copy()

@@ -121,15 +121,15 @@ def _random_batch(layout, rng, n_videos=4, n_z=2):
     return batch
 
 
-def _forward_loss(batch, layout, params, cfg):
-    head = _head_from_params(layout, params, cfg.mhsa_heads)
+def _forward_loss(batch, layout, params):
+    head = _head_from_params(layout, params)
     preds = [video_forward(bundle, head) for bundle, _ in batch]
     return plcc_loss(preds, [mos for _, mos in batch])
 
 
-def _relu_margin(batch, layout, params, cfg):
+def _relu_margin(batch, layout, params):
     """Smallest |pre-activation|; guards the FD step against ReLU kinks."""
-    head = _head_from_params(layout, params, cfg.mhsa_heads)
+    head = _head_from_params(layout, params)
     margin = np.inf
     for bundle, _ in batch:
         for f in per_row_fused(bundle, layout, head.pool):
@@ -157,9 +157,9 @@ def test_2_gradient_correctness():
         params["b1"] = rng.uniform(-0.3, 0.3, size=cfg.hidden)
         params["b2"] = np.asarray(rng.uniform(-0.3, 0.3))
         batch = _random_batch(layout, rng)
-        if _relu_margin(batch, layout, params, cfg) < 1e-4:
+        if _relu_margin(batch, layout, params) < 1e-4:
             continue  # FD would straddle a ReLU kink; draw a fresh instance
-        head = _head_from_params(layout, params, cfg.mhsa_heads)
+        head = _head_from_params(layout, params)
         _, grads = backprop(batch, head)
         for key, tensor in params.items():
             flat = np.asarray(tensor, dtype=np.float64).ravel()
@@ -168,9 +168,9 @@ def test_2_gradient_correctness():
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                plus = _forward_loss(batch, layout, params, cfg)
+                plus = _forward_loss(batch, layout, params)
                 flat[j] = orig - h
-                minus = _forward_loss(batch, layout, params, cfg)
+                minus = _forward_loss(batch, layout, params)
                 flat[j] = orig
                 fd[j] = (plus - minus) / (2.0 * h)
             # norm-ratio relative error per tensor; differences at the FD

@@ -7,13 +7,21 @@ import pytest
 from rqvqa.cli import main
 from rqvqa.features import (
     ExtractionConfig,
+    FeatureBundle,
     assemble_bundle,
+    backbone_registry,
+    save_sidecar,
     toy_pixelstats,
     toy_registry,
 )
 from rqvqa.fusion import load_checkpoint, params_from_head
 from rqvqa.gms import make_plan, sample_fragments
-from rqvqa.harness import load_manifest, save_manifest
+from rqvqa.harness import (
+    DatasetManifest,
+    ManifestRecord,
+    load_manifest,
+    save_manifest,
+)
 from rqvqa.preproc import load_raw_video
 
 
@@ -33,6 +41,31 @@ def workspace(tmp_path_factory):
         "gms.grid_count = 4\n"
         "gms.patch_size = 8\n")
     return root
+
+
+SMALL_WIDTHS = dict(spatial_dim=16, temporal_dim=8, lmm_dim=12,
+                    spatiotemporal_dim=10)
+SIDECAR_TRAIN = ["--set", "train.epochs=2", "--set", "train.lr_decay_epoch=1",
+                 "--set", "train.hidden=8", "--set", "train.mhsa_heads=2",
+                 "--set", "train.batch_size=4", "--set", "registry=backbone"]
+
+
+def sidecar_corpus(root, spatial_tokens, n=8):
+    """Sidecar-only videos of 1-3 key frames at SMALL_WIDTHS."""
+    registry = backbone_registry(**SMALL_WIDTHS, spatial_tokens=spatial_tokens)
+    rng = np.random.default_rng(spatial_tokens)
+    records = []
+    for v in range(n):
+        shape = FeatureBundle(video_id="", n_keyframes=1 + v % 3)
+        for source in registry:
+            rows = rng.uniform(0.0, 1.0, (shape.rows_expected(source),
+                                          source.dim))
+            if source.probability:
+                rows /= rows.sum(axis=1, keepdims=True)
+            save_sidecar(source, rows, root / f"v{v}" / f"{source.name}.rqvf")
+        records.append(ManifestRecord(f"v{v}", str(root / f"v{v}"),
+                                      float(v % 4), f"s{v // 2}"))
+    return save_manifest(DatasetManifest(records), root / "manifest.csv")
 
 
 class TestSynth(object):
@@ -99,6 +132,74 @@ class TestTrainSeed:
             trained[seed] = params_from_head(head)
         assert any(not np.array_equal(trained[0][k], trained[7][k])
                    for k in trained[0])
+
+
+class TestBackboneWidthsFromSidecars:
+    @pytest.mark.parametrize("tokens", [0, 4])
+    def test_train_predict_at_sidecar_widths(self, tmp_path, tokens):
+        manifest = sidecar_corpus(tmp_path / "corpus", tokens)
+        ckpt, pred = tmp_path / "m.ckpt", tmp_path / "p.csv"
+        assert main(["train", "--manifest", str(manifest), "--out", str(ckpt)]
+                    + SIDECAR_TRAIN) == 0
+        assert main(["predict", "--checkpoint", str(ckpt), "--manifest",
+                     str(manifest), "--out", str(pred)] + SIDECAR_TRAIN) == 0
+        head, _, _ = load_checkpoint(ckpt)
+        assert [(e.name, e.granularity, e.dim, e.token_count)
+                for e in head.layout.entries] == [
+            ("spatial", "tokens" if tokens else "keyframe", 16, tokens),
+            ("temporal", "chunk", 8, 0),
+            ("frame_quality_lmm", "keyframe", 12, 0),
+            ("frame_quality_probs", "keyframe", 495, 0),
+            ("spatiotemporal", "video", 10, 0)]
+        assert (head.pool is not None) == bool(tokens)
+        assert len(list(csv.reader(open(pred)))) == 9
+
+    def test_video_at_other_widths_rejected(self, tmp_path, capsys):
+        manifest = sidecar_corpus(tmp_path / "corpus", 0)
+        wide = backbone_registry(**{**SMALL_WIDTHS, "temporal_dim": 9})
+        save_sidecar(wide["temporal"], np.zeros((3, 9)),
+                     tmp_path / "corpus" / "v2" / "temporal.rqvf")
+        assert main(["train", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "m.ckpt")] + SIDECAR_TRAIN) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: SidecarShapeError: "
+                       f"{tmp_path / 'corpus' / 'v2' / 'temporal.rqvf'}: dim "
+                       f"mismatch (file 9, source 8)")
+
+    def test_missing_header_file_and_empty_manifest(self, tmp_path, capsys):
+        manifest = sidecar_corpus(tmp_path / "corpus", 0)
+        missing = tmp_path / "corpus" / "v0" / "frame_quality_lmm.rqvf"
+        missing.unlink()
+        assert main(["train", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "m.ckpt")] + SIDECAR_TRAIN) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: FeatureError: {missing}: ")
+        assert "\n" not in err
+        empty = save_manifest(DatasetManifest([]), tmp_path / "empty.csv")
+        assert main(["train", "--manifest", str(empty), "--out",
+                     str(tmp_path / "m.ckpt")] + SIDECAR_TRAIN) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: ManifestError: {empty}: ")
+        assert "\n" not in err
+
+    def test_layout_mismatch_names_the_first_differing_entry(self, tmp_path,
+                                                             capsys):
+        tokens = sidecar_corpus(tmp_path / "tokens", 4)
+        pooled = sidecar_corpus(tmp_path / "pooled", 0)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(tokens), "--out", str(ckpt)]
+                    + SIDECAR_TRAIN) == 0
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", str(ckpt), "--manifest",
+                     str(pooled), "--out", str(tmp_path / "p.csv")]
+                    + SIDECAR_TRAIN) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(
+            "error: CheckpointError: registry does not match checkpoint "
+            "layout at entry 0 (name, dim, granularity, token_count): "
+            "checkpoint has ('spatial', 16, 'tokens', 4), registry has "
+            "('spatial', 16, 'keyframe', 0); ")
+        assert "\n" not in err
 
 
 class TestGmsDump:
@@ -204,6 +305,41 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err == f"error: ConfigError: unknown config key {key!r}"
+
+    @pytest.mark.parametrize("key", [
+        "registry.spatial_dim", "registry.temporal_dim", "registry.lmm_dim",
+        "registry.spatiotemporal_dim", "registry.spatial_tokens"])
+    def test_registry_widths_are_not_keys(self, workspace, capsys, key):
+        code = main(["train", "--manifest",
+                     str(workspace / "corpus" / "manifest.csv"),
+                     "--out", str(workspace / "x.ckpt"),
+                     "--set", f"{key}=16"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: ConfigError: unknown config key {key!r}"
+
+    @pytest.mark.parametrize("command,key,choices", [
+        ("train", "registry", "toy, backbone"),
+        ("train", "split.grouping", "by-scene, by-video"),
+        ("train", "preproc.crop_mode", "center, random"),
+        ("ensemble", "ensemble.combiner", "mean, median"),
+        ("preprocess", "preproc.crop_mode", "center, random"),
+        ("gms", "split.grouping", "by-scene, by-video")])
+    def test_enum_value_rejected_when_config_loads(self, workspace, capsys,
+                                                   command, key, choices):
+        corpus = workspace / "corpus"
+        inputs = {"train": ["--manifest", str(corpus / "manifest.csv")],
+                  "ensemble": ["--train-manifest",
+                               str(corpus / "manifest.csv")],
+                  "preprocess": ["--video", str(corpus / "scene0000_v0")],
+                  "gms": ["--video", str(corpus / "scene0000_v0")]}[command]
+        code = main([command, *inputs, "--out", str(workspace / "never"),
+                     "--set", f"{key}=mode"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: ConfigError: {key}: expected one of "
+                       f"{choices}, got 'mode'")
+        assert not (workspace / "never").exists()
 
     def test_preprocess_writes_branches(self, workspace):
         corpus = workspace / "corpus"

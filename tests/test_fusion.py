@@ -28,6 +28,7 @@ from rqvqa.fusion import (
     load_checkpoint,
     mhsa_pool,
     mse_loss,
+    param_shapes,
     params_from_head,
     plcc_loss,
     plcc_loss_grad,
@@ -46,7 +47,6 @@ def make_pool(d=8, heads=2, seed=0):
     rng = np.random.default_rng(seed)
     d_h = d // heads
     return MhsaPool(
-        head_count=heads,
         wq=rng.standard_normal((heads, d, d_h)) * 0.3,
         wk=rng.standard_normal((heads, d, d_h)) * 0.3,
         wv=rng.standard_normal((heads, d, d_h)) * 0.3,
@@ -352,7 +352,7 @@ class TestCorrelationLossGrad:
 def build_head(layout, cfg, seed=0, registry_token=None):
     rng = np.random.default_rng(seed)
     params = init_params(layout, cfg, rng)
-    return _head_from_params(layout, params, cfg.mhsa_heads)
+    return _head_from_params(layout, params)
 
 
 class TestBackprop:
@@ -779,12 +779,38 @@ class TestAttentionPoolTraining:
         cfg = TrainConfig(hidden=8, mhsa_heads=2)
         rng = np.random.default_rng(4)
         params = init_params(layout, cfg, rng)
-        head = _head_from_params(layout, params, cfg.mhsa_heads)
+        head = _head_from_params(layout, params)
         batch = [(token_bundle(seed=i, video_id=f"v{i}"), float(i))
                  for i in range(4)]
         _, grads = backprop(batch, head)
         for key in ("wq", "wk", "wv", "wo"):
             assert np.any(grads[key] != 0.0)
+
+    def test_init_draws_in_table_order_with_fan_in_bounds(self):
+        layout = ConcatLayout.from_registry(token_registry())
+        cfg = TrainConfig(hidden=8, mhsa_heads=2)
+        params = init_params(layout, cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for key, fan_in in (("w1", 16), ("w2", 8), ("wq", 8), ("wk", 8),
+                            ("wv", 8), ("wo", 8)):
+            bound = 1.0 / np.sqrt(fan_in)
+            np.testing.assert_array_equal(
+                params[key],
+                rng.uniform(-bound, bound, size=params[key].shape))
+        assert not params["b1"].any() and not params["b2"].any()
+
+    def test_head_is_a_view_of_its_params(self):
+        layout = ConcatLayout.from_registry(token_registry())
+        cfg = TrainConfig(hidden=8, mhsa_heads=2)
+        params = init_params(layout, cfg, np.random.default_rng(0))
+        assert {k: v.shape for k, v in params.items()} == param_shapes(
+            layout, 8, 2)
+        head = _head_from_params(layout, params)
+        assert head.pool.head_count == 2
+        params["b2"] += 0.5
+        assert head.mlp.b2 == 0.5
+        for key, value in params_from_head(head).items():
+            assert np.shares_memory(value, params[key]), key
 
     def test_heads_must_divide_token_dim(self):
         registry = token_registry(d=8)

@@ -93,6 +93,22 @@ class TestManifest:
                      "--set", "train.hidden=8", "--set", "gms.grid_count=4",
                      "--set", "gms.patch_size=8"]) == 0
 
+    def test_working_directory_relative_path_error_names_the_rule(
+            self, tmp_path, monkeypatch, capsys):
+        # written relative to the working directory, not to the manifest
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old" / "scene0000_v0").mkdir(parents=True)
+        (tmp_path / "old" / "manifest.csv").write_text(
+            "video_id,path,mos,scene_id\n"
+            "scene0000_v0,old/scene0000_v0,1.0,s0\n")
+        assert main(["train", "--manifest", "old/manifest.csv",
+                     "--out", "m.ckpt"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            f"error: ManifestError: scene0000_v0: "
+            f"{tmp_path / 'old' / 'old' / 'scene0000_v0'} is not a directory "
+            f"(a relative path resolves against the manifest's directory)")
+
     def test_bad_mos_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("video_id,path,mos,scene_id\nv1,/x,abc,s1\n")
