@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     FeatureError,
+    RqvqaError,
     SidecarChecksumError,
     SidecarMagicError,
     SidecarNameError,
@@ -307,54 +308,77 @@ PIXELSTATS_DIM = 16
 MOTIONSTATS_DIM = 8
 
 _LUMA = np.array([0.299, 0.587, 0.114])
+# First integer of each of np.histogram's 5 equal bins over [0, 256]: the
+# edges 51.2, 102.4, 153.6 and 204.8 fall between integers.
+_MOTION_BIN_STARTS = np.array([0, 52, 103, 154, 205])
 
 
-def _luma(frame: np.ndarray) -> np.ndarray:
-    return np.asarray(frame, dtype=np.float64) @ _LUMA
+def toy_pixelstats(frames: np.ndarray) -> np.ndarray:
+    """(n, 16) deterministic statistics of (n, H, W, 3) frames, each in [0, 1].
 
-
-def toy_pixelstats(frame: np.ndarray) -> np.ndarray:
-    """16 deterministic frame statistics, each scaled into [0, 1].
-
-    Per-channel mean and std (6), mean and std of the absolute 4-neighbour
-    luma Laplacian (2), and an 8-bin luma histogram (8).
+    Per frame: per-channel mean and std (6), mean and std of the absolute
+    4-neighbour luma Laplacian (2; zeros below 3x3), and an 8-bin histogram
+    of luma over [0, 256] (8). The 32-wide bins make the bin index
+    floor(y / 32) exact, so one bincount replaces a histogram per frame.
     """
-    f = np.asarray(frame, dtype=np.float64)
-    means = f.reshape(-1, 3).mean(axis=0) / 255.0
-    stds = f.reshape(-1, 3).std(axis=0) / 127.5
+    f = np.asarray(frames, dtype=np.float64)
+    n = f.shape[0]
+    pixels = f.reshape(n, -1, 3)
+    means = pixels.mean(axis=1) / 255.0
+    stds = pixels.std(axis=1) / 127.5
 
-    y = _luma(f)
-    lap = (y[:-2, 1:-1] + y[2:, 1:-1] + y[1:-1, :-2] + y[1:-1, 2:]
-           - 4.0 * y[1:-1, 1:-1])
-    energy = np.abs(lap)
-    if energy.size:
-        lap_stats = np.array([energy.mean() / 1020.0, energy.std() / 510.0])
+    y = f @ _LUMA
+    if not (y.min() >= 0.0 and y.max() <= 256.0):
+        raise FeatureError(
+            f"luma outside [0, 256]: [{y.min()}, {y.max()}]")
+    lap = (y[:, :-2, 1:-1] + y[:, 2:, 1:-1] + y[:, 1:-1, :-2]
+           + y[:, 1:-1, 2:] - 4.0 * y[:, 1:-1, 1:-1])
+    energy = np.abs(lap).reshape(n, -1)
+    if energy.shape[1]:
+        lap_stats = np.stack([energy.mean(axis=1) / 1020.0,
+                              energy.std(axis=1) / 510.0], axis=1)
     else:
-        lap_stats = np.zeros(2)
+        lap_stats = np.zeros((n, 2))
 
-    hist, _ = np.histogram(y, bins=8, range=(0.0, 256.0))
-    hist = hist / y.size
-    return np.concatenate([means, stds, lap_stats, hist])
+    bins = (np.minimum((y * (8 / 256)).astype(np.intp), 7).reshape(n, -1)
+            + 8 * np.arange(n)[:, None])
+    hist = np.bincount(bins.ravel(), minlength=8 * n).reshape(n, 8)
+    return np.concatenate([means, stds, lap_stats, hist / bins.shape[1]],
+                          axis=1)
 
 
-def toy_motionstats(chunk: np.ndarray) -> np.ndarray:
-    """8 statistics of consecutive-frame absolute differences, in [0, 1]."""
-    c = np.asarray(chunk, dtype=np.float64)
-    if c.shape[0] < 2:
+def toy_motionstats(chunks: np.ndarray) -> np.ndarray:
+    """(n, 8) statistics of consecutive-frame absolute differences of
+    (n, F, H, W, 3) uint8 chunks, each in [0, 1].
+
+    Per chunk: mean, std and max of the per-pair mean difference (3), and a
+    5-bin histogram of the differences over [0, 256] (5). The differences
+    are integers, so int64 sums give the means exactly and one 256-bin
+    bincount, summed at the first integer of each bin, gives the histogram.
+    """
+    c = np.asarray(chunks)
+    if c.dtype != np.uint8:
+        raise FeatureError(
+            f"motion statistics need uint8 chunks, got {c.dtype}")
+    n, frames = c.shape[:2]
+    if frames < 2:
         raise FeatureError("motion statistics need a chunk of >= 2 frames")
-    diffs = np.abs(np.diff(c, axis=0))
-    per_pair = diffs.reshape(diffs.shape[0], -1).mean(axis=1)
-    stats = np.array([per_pair.mean() / 255.0, per_pair.std() / 127.5,
-                      per_pair.max() / 255.0])
-    hist, _ = np.histogram(diffs, bins=5, range=(0.0, 256.0))
-    hist = hist / diffs.size
-    return np.concatenate([stats, hist])
+    diffs = np.abs(np.diff(c.astype(np.int16), axis=1)).reshape(
+        n, frames - 1, -1)
+    per_pair = diffs.sum(axis=2, dtype=np.int64) / diffs.shape[2]
+    stats = np.stack([per_pair.mean(axis=1) / 255.0,
+                      per_pair.std(axis=1) / 127.5,
+                      per_pair.max(axis=1) / 255.0], axis=1)
+    levels = diffs.reshape(n, -1) + 256 * np.arange(n)[:, None]
+    counts = np.bincount(levels.ravel(), minlength=256 * n).reshape(n, 256)
+    hist = np.add.reduceat(counts, _MOTION_BIN_STARTS, axis=1)
+    return np.concatenate([stats, hist / levels.shape[1]], axis=1)
 
 
 def toy_fragmentstats(fragments: np.ndarray) -> np.ndarray:
     """Pixel statistics of the temporally averaged fragment frame."""
     mean_frame = np.asarray(fragments, dtype=np.float64).mean(axis=0)
-    return toy_pixelstats(mean_frame)
+    return toy_pixelstats(mean_frame[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +408,9 @@ def fragment_volume(video: VideoFrames,
 def _toy_matrix(toy: str, video: VideoFrames,
                 extraction: ExtractionConfig) -> np.ndarray:
     if toy == "pixelstats":
-        return np.stack([toy_pixelstats(f) for f in extract_key_frames(video)])
+        return toy_pixelstats(extract_key_frames(video))
     if toy == "motionstats":
-        return np.stack([toy_motionstats(c) for c in extract_chunks(video)])
+        return toy_motionstats(extract_chunks(video))
     if toy == "fragmentstats":
         return toy_fragmentstats(fragment_volume(video, extraction))[None, :]
     raise FeatureError(f"unknown toy extractor {toy!r}")
@@ -417,7 +441,11 @@ def assemble_bundle(video: VideoFrames | None, registry: SourceRegistry,
                 1 if source.granularity == "video"
                 else rows // max(source.token_count, 1))
         elif source.toy is not None and video is not None:
-            matrices[source.name] = _toy_matrix(source.toy, video, extraction)
+            try:
+                matrices[source.name] = _toy_matrix(source.toy, video,
+                                                    extraction)
+            except RqvqaError as exc:
+                raise type(exc)(f"{video_id}: {exc}") from exc
         else:
             missing.append(source.name)
     if missing:

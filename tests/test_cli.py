@@ -10,6 +10,7 @@ from rqvqa.features import (
     FeatureBundle,
     assemble_bundle,
     backbone_registry,
+    fragment_volume,
     save_sidecar,
     toy_pixelstats,
     toy_registry,
@@ -22,7 +23,15 @@ from rqvqa.harness import (
     load_manifest,
     save_manifest,
 )
-from rqvqa.preproc import load_raw_video
+from rqvqa.preproc import (
+    VideoFrames,
+    extract_chunks,
+    extract_key_frames,
+    load_raw_video,
+    save_raw_video,
+)
+
+import toy_oracle
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +244,8 @@ class TestGmsDump:
 
         np.testing.assert_array_equal(
             fragmentstats(True)[0],
-            toy_pixelstats(dumped.frames.astype(np.float64).mean(axis=0)))
+            toy_pixelstats(
+                dumped.frames.astype(np.float64).mean(axis=0)[None])[0])
         assert not np.array_equal(fragmentstats(True), fragmentstats(False))
 
 
@@ -262,6 +272,65 @@ class TestFeaturesCommand:
         assert main(["train", "--manifest",
                      str(workspace / "sidecar_manifest.csv"),
                      "--out", str(workspace / "sc.ckpt")] + args) == 0
+
+    @pytest.mark.parametrize("all_frames", [False, True])
+    def test_sidecars_equal_the_per_frame_oracle(self, workspace, tmp_path,
+                                                 all_frames):
+        corpus = workspace / "corpus"
+        flag = f"gms.all_frames={str(all_frames).lower()}"
+        assert main(["features", "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(tmp_path / "cli"), "--config",
+                     str(workspace / "cfg.txt"), "--set", flag]) == 0
+        extraction = ExtractionConfig(gms_grid_count=4, gms_patch_size=8,
+                                      gms_all_frames=all_frames)
+        registry = toy_registry()
+        records = load_manifest(corpus / "manifest.csv").records
+        for rec in records:
+            video = load_raw_video(rec.path)
+            oracle = {
+                "pixelstats": toy_oracle.pixelstats_rows(
+                    extract_key_frames(video)),
+                "motionstats": toy_oracle.motionstats_rows(
+                    extract_chunks(video)),
+                "fragmentstats": toy_oracle.fragmentstats(
+                    fragment_volume(video, extraction))[None],
+            }
+            for source in registry:
+                name = f"{source.name}.rqvf"
+                expected = save_sidecar(source, oracle[source.name],
+                                        tmp_path / "oracle" / rec.video_id
+                                        / name)
+                written = tmp_path / "cli" / rec.video_id / name
+                assert written.read_bytes() == expected.read_bytes(), (
+                    rec.video_id, source.name)
+
+
+class TestToyExtractionErrorsNameTheVideo:
+    @pytest.mark.parametrize("video_id, shape, fps, message", [
+        ("one_fps", (3, 64, 64), 1,
+         "FeatureError: one_fps: motion statistics need a chunk of >= 2 "
+         "frames"),
+        ("tiny", (8, 16, 16), 4,
+         "GeometryError: tiny: cell (0,0) is 4x4px, smaller than patch 8px "
+         "(16x16 split 4x4)"),
+    ])
+    def test_train_error_names_the_video(self, workspace, capsys, video_id,
+                                         shape, fps, message):
+        frames = np.random.default_rng(0).integers(
+            0, 256, size=shape + (3,), dtype=np.uint8)
+        path = save_raw_video(VideoFrames.from_array(frames, fps),
+                              workspace / "bad" / video_id)
+        good = load_manifest(workspace / "corpus" / "manifest.csv").records
+        manifest = save_manifest(
+            DatasetManifest(good[:2] + [ManifestRecord(video_id, str(path),
+                                                       3.0, "bad")]),
+            workspace / "bad" / f"{video_id}.csv")
+        capsys.readouterr()
+        code = main(["train", "--manifest", str(manifest),
+                     "--out", str(workspace / "bad" / "x.ckpt"),
+                     "--config", str(workspace / "cfg.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestEnsembleCommand:

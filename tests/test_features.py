@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqvqa.errors import (
     FeatureError,
@@ -25,6 +27,7 @@ from rqvqa.features import (
 from rqvqa.gms import make_plan, sample_fragments
 from rqvqa.synthetic import gaussian_blur
 
+import toy_oracle
 from conftest import make_video
 
 EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=4, gms_seed=0)
@@ -122,11 +125,95 @@ class TestSidecarRoundTrip:
                          tmp_path / "f.rqvf")
 
 
+# Gray levels whose luma sits on or next to a multiple of 32 (the luma
+# histogram's bin edges), and levels 0/51/52/... whose differences sit on
+# either side of the motion histogram's edges 51.2, 102.4, 153.6 and 204.8.
+EDGE_LEVELS = sorted({0, 255} | {e + d for e in range(32, 256, 32)
+                                 for d in (-1, 0, 1)})
+MOTION_LEVELS = (0, 51, 52, 102, 103, 153, 154, 204, 205, 255)
+
+
+@st.composite
+def uint8_stacks(draw, levels, gray):
+    """(n, F, H, W, 3) uint8: random pixels, some set to one of `levels`
+    (on all three channels when gray, else per channel)."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+             draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+    picked = rng.choice(np.array(levels, dtype=np.uint8),
+                        size=shape + ((1,) if gray else (3,)))
+    mask = rng.random(shape + (1,)) < draw(st.sampled_from((0.5, 1.0)))
+    return np.where(mask, picked, stack)
+
+
+class TestStackedExtractorsMatchPerFrameOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(uint8_stacks(EDGE_LEVELS, gray=True))
+    def test_pixelstats_bytes(self, stack):
+        frames = stack[:, 0]
+        assert (toy_pixelstats(frames).tobytes()
+                == toy_oracle.pixelstats_rows(frames).tobytes())
+
+    @settings(max_examples=150, deadline=None)
+    @given(uint8_stacks(MOTION_LEVELS, gray=False))
+    def test_motionstats_bytes(self, stack):
+        chunks = np.concatenate([stack, stack[:, ::-1]], axis=1)
+        assert (toy_motionstats(chunks).tobytes()
+                == toy_oracle.motionstats_rows(chunks).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(uint8_stacks(EDGE_LEVELS, gray=True))
+    def test_fragmentstats_bytes(self, stack):
+        volume = stack[0]
+        assert (toy_fragmentstats(volume).tobytes()
+                == toy_oracle.fragmentstats(volume).tobytes())
+
+    def test_edge_levels_reach_every_bin_edge(self):
+        gray = np.array(EDGE_LEVELS, dtype=np.uint8)
+        y = np.repeat(gray[:, None], 3, axis=1).astype(np.float64) @ np.array(
+            [0.299, 0.587, 0.114])
+        # some gray lumas land exactly on a multiple of 32 and some a rounding
+        # step below one, so both sides of a bin edge are drawn
+        gap = np.abs(y[:, None] - np.arange(32, 256, 32)).min(axis=1)
+        assert np.any(gap == 0.0) and np.any((gap > 0.0) & (gap < 1e-12))
+        frame = np.repeat(gray[None, :, None], 3, axis=2)
+        np.testing.assert_array_equal(
+            toy_pixelstats(frame[None]), toy_oracle.pixelstats_rows(
+                frame[None]))
+
+    def test_float_frames(self):
+        rng = np.random.default_rng(4)
+        frames = rng.integers(0, 256, size=(3, 9, 11, 3)).astype(np.float64)
+        for stack in (gaussian_blur(frames, 1.0), frames + 0.5,
+                      rng.uniform(0.0, 255.0, size=(2, 6, 5, 3))):
+            assert (toy_pixelstats(stack).tobytes()
+                    == toy_oracle.pixelstats_rows(stack).tobytes())
+
+    def test_fragment_mean_frames(self):
+        video = make_video(n_frames=8, height=16, width=16, fps=4, seed=8)
+        plan = make_plan(16, 16, grid_count=4, patch_size=4, seed=0)
+        volume = sample_fragments(video.frames, plan)
+        assert (toy_fragmentstats(volume).tobytes()
+                == toy_oracle.fragmentstats(volume).tobytes())
+
+    @pytest.mark.parametrize("shape", [(2, 2, 5), (3, 5, 2), (1, 1, 1),
+                                       (2, 2, 2)])
+    def test_frames_below_3x3_have_zero_laplacian_rows(self, shape):
+        rng = np.random.default_rng(3)
+        frames = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        v = toy_pixelstats(frames)
+        assert v.shape == (shape[0], 16)
+        np.testing.assert_array_equal(v[:, 6:8], 0.0)
+        assert v.tobytes() == toy_oracle.pixelstats_rows(frames).tobytes()
+
+
 class TestToyPixelstats:
     def test_constant_gray_frame(self):
         frame = np.full((8, 8, 3), 128, dtype=np.uint8)
-        v = toy_pixelstats(frame)
-        assert v.shape == (16,)
+        v = toy_pixelstats(frame[None])
+        assert v.shape == (1, 16)
+        v = v[0]
         np.testing.assert_allclose(v[0:3], 128 / 255)
         np.testing.assert_allclose(v[3:6], 0.0)   # channel stds
         np.testing.assert_allclose(v[6:8], 0.0)   # laplacian energy
@@ -148,8 +235,7 @@ class TestToyPixelstats:
                     vals.append(abs(lap))
             return np.mean(vals)
 
-        sharp_vec = toy_pixelstats(frame)
-        blur_vec = toy_pixelstats(blurred)
+        sharp_vec, blur_vec = toy_pixelstats(np.stack([frame, blurred]))
         assert blur_vec[6] < sharp_vec[6]
         # the packaged statistic must agree with the brute-force oracle
         assert sharp_vec[6] == pytest.approx(brute_lap_mean(frame) / 1020.0)
@@ -157,43 +243,71 @@ class TestToyPixelstats:
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
-        frame = rng.integers(0, 256, size=(12, 9, 3), dtype=np.uint8)
-        np.testing.assert_array_equal(toy_pixelstats(frame),
-                                      toy_pixelstats(frame.copy()))
+        frames = rng.integers(0, 256, size=(4, 12, 9, 3), dtype=np.uint8)
+        stacked = toy_pixelstats(frames)
+        np.testing.assert_array_equal(stacked, toy_pixelstats(frames.copy()))
+        for i, frame in enumerate(frames):
+            assert (toy_pixelstats(frame[None])[0].tobytes()
+                    == stacked[i].tobytes())
 
     def test_all_components_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        for _ in range(20):
-            frame = rng.integers(0, 256, size=(10, 14, 3), dtype=np.uint8)
-            v = toy_pixelstats(frame)
-            assert np.all(v >= 0.0) and np.all(v <= 1.0)
+        frames = rng.integers(0, 256, size=(20, 10, 14, 3), dtype=np.uint8)
+        v = toy_pixelstats(frames)
+        assert v.shape == (20, 16)
+        assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+    @pytest.mark.parametrize("value", [-0.5, 256.5, np.nan])
+    def test_luma_outside_histogram_range_rejected(self, value):
+        frames = np.full((2, 4, 4, 3), 100.0)
+        frames[1, 2, 3] = value
+        with pytest.raises(FeatureError, match=r"luma outside \[0, 256\]"):
+            toy_pixelstats(frames)
+
+    def test_luma_range_is_inclusive(self):
+        frames = np.zeros((2, 4, 4, 3))
+        frames[1] = [258.0, 251.0, 276.5]
+        assert np.all(frames[1] @ np.array([0.299, 0.587, 0.114]) == 256.0)
+        v = toy_pixelstats(frames)
+        assert v[0, 8] == 1.0 and v[1, 15] == 1.0  # 256 in the last bin
+        assert v.tobytes() == toy_oracle.pixelstats_rows(frames).tobytes()
 
 
 class TestToyMotionstats:
     def test_static_chunk_is_all_zero_stats(self):
         chunk = np.tile(np.arange(48, dtype=np.uint8).reshape(1, 4, 4, 3),
                         (5, 1, 1, 1))
-        v = toy_motionstats(chunk)
-        assert v.shape == (8,)
+        v = toy_motionstats(chunk[None])
+        assert v.shape == (1, 8)
+        v = v[0]
         np.testing.assert_allclose(v[:3], 0.0)
         assert v[3] == pytest.approx(1.0)  # all diffs in the lowest bin
 
     def test_alternating_black_white(self):
         chunk = np.zeros((4, 4, 4, 3), dtype=np.uint8)
         chunk[1::2] = 255
-        v = toy_motionstats(chunk)
+        v = toy_motionstats(chunk[None])[0]
         assert v[0] == pytest.approx(1.0)  # mean abs diff 255, normalized
         assert v[2] == pytest.approx(1.0)
 
     def test_single_frame_rejected(self):
-        with pytest.raises(FeatureError, match=">= 2 frames"):
-            toy_motionstats(np.zeros((1, 4, 4, 3), dtype=np.uint8))
+        for n in (1, 3):
+            with pytest.raises(FeatureError, match=">= 2 frames"):
+                toy_motionstats(np.zeros((n, 1, 4, 4, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16])
+    def test_non_uint8_chunks_rejected(self, dtype):
+        with pytest.raises(FeatureError, match="uint8 chunks"):
+            toy_motionstats(np.zeros((2, 3, 4, 4, 3), dtype=dtype))
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
-        chunk = rng.integers(0, 256, size=(6, 5, 5, 3), dtype=np.uint8)
-        np.testing.assert_array_equal(toy_motionstats(chunk),
-                                      toy_motionstats(chunk.copy()))
+        chunks = rng.integers(0, 256, size=(3, 6, 5, 5, 3), dtype=np.uint8)
+        stacked = toy_motionstats(chunks)
+        np.testing.assert_array_equal(stacked, toy_motionstats(chunks.copy()))
+        for i, chunk in enumerate(chunks):
+            assert (toy_motionstats(chunk[None])[0].tobytes()
+                    == stacked[i].tobytes())
 
 
 class TestToyFragmentstats:
@@ -201,15 +315,15 @@ class TestToyFragmentstats:
         video = make_video(n_frames=4, height=16, width=16, fps=4, seed=8)
         plan = make_plan(16, 16, grid_count=4, patch_size=4, seed=0)
         volume = sample_fragments(video.frames, plan)
-        expected = toy_pixelstats(volume.astype(np.float64).mean(axis=0))
-        np.testing.assert_array_equal(toy_fragmentstats(volume), expected)
+        expected = toy_pixelstats(volume.astype(np.float64).mean(axis=0)[None])
+        np.testing.assert_array_equal(toy_fragmentstats(volume), expected[0])
 
     def test_constant_volume(self):
-        video = make_video(n_frames=4, height=16, width=16, fps=4)
         plan = make_plan(16, 16, grid_count=4, patch_size=4, seed=0)
         volume = sample_fragments(
             np.full((4, 16, 16, 3), 128, dtype=np.uint8), plan)
         v = toy_fragmentstats(volume)
+        assert v.shape == (16,)
         np.testing.assert_allclose(v[3:8], 0.0)
 
 

@@ -9,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rqvqa import fusion
+from rqvqa import fusion, harness
+from rqvqa.features import ExtractionConfig, toy_registry
+from rqvqa.harness import ManifestRecord
+from rqvqa.preproc import save_raw_video
 
+from conftest import make_video
 from test_fusion import token_bundle, token_registry
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,3 +55,33 @@ def test_traced_training_reaches_adam_and_attention_pool(spans):
     # grids of a mini-batch or a video with one mhsa_pool call
     assert totals["fusion.video_forward"]["calls"] == 1
     assert totals["fusion.mhsa_pool"]["calls"] == result.trace.steps + 1
+
+
+def test_traced_toy_resolve_reaches_every_load_layer(spans, tmp_path):
+    # one resolve of a raw toy video: the extractors are looked up through
+    # the module namespace, so each layer's span fires, and pixelstats runs
+    # twice (key frames, then the fragment mean inside fragmentstats)
+    path = save_raw_video(make_video(n_frames=12, height=16, width=16, fps=4),
+                          tmp_path / "v")
+    extraction = ExtractionConfig(gms_grid_count=4, gms_patch_size=4)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_id = "pass"
+        bundle = harness.resolve_bundle(
+            ManifestRecord("v", str(path), 1.0, "s"), toy_registry(),
+            extraction)
+    finally:
+        tracer.uninstall()
+    assert bundle.matrices["pixelstats"].shape == (3, 16)
+    totals = tracer.totals("pass")
+    calls = {name: totals[name]["calls"] for name in (
+        "harness.resolve_bundle", "preproc.load_raw_video",
+        "features.assemble_bundle", "gms.sample_fragments",
+        "features.toy_pixelstats", "features.toy_motionstats",
+        "features.toy_fragmentstats")}
+    assert calls == {"harness.resolve_bundle": 1, "preproc.load_raw_video": 1,
+                     "features.assemble_bundle": 1, "gms.sample_fragments": 1,
+                     "features.toy_pixelstats": 2,
+                     "features.toy_motionstats": 1,
+                     "features.toy_fragmentstats": 1}
