@@ -30,7 +30,7 @@ ADAM_EPS = 1e-8
 LR_DECAY_FACTOR = 10.0
 
 CHECKPOINT_MAGIC = b"RQVC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,9 @@ class ConcatLayout:
 class MhsaPool:
     """Multi-head self-attention with mean pooling over tokens.
 
-    wq/wk/wv have shape (heads, d, d_head); wo is (d, d). No biases.
+    wq/wk/wv have shape (d, heads, d_head), so w.reshape(d, d) is the joined
+    head-major projection and w.transpose(1, 0, 2) the per-head one; wo is
+    (d, d). No biases.
     """
 
     wq: np.ndarray
@@ -94,7 +96,7 @@ class MhsaPool:
 
     @property
     def head_count(self) -> int:
-        return self.wq.shape[0]
+        return self.wq.shape[1]
 
     @property
     def dim(self) -> int:
@@ -132,9 +134,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise TrainingError("learning_rate must be >= 0")
-        for name in ("batch_size", "epochs", "hidden", "mhsa_heads"):
+        for name in ("epochs", "hidden", "mhsa_heads"):
             if getattr(self, name) < 1:
                 raise TrainingError(f"{name} must be >= 1")
+        if self.batch_size < 2:
+            raise TrainingError(
+                "batch_size must be >= 2 for the correlation loss")
         if self.lr_decay_epoch > self.epochs:
             raise TrainingError("lr_decay_epoch must be <= epochs")
         if self.loss not in ("plcc", "mse"):
@@ -143,11 +148,6 @@ class TrainConfig:
 
 # ---------------------------------------------------------------------------
 # Forward ops
-
-
-def _join_heads(w: np.ndarray) -> np.ndarray:
-    """(heads, d, d_head) -> (d, heads * d_head), head-major columns."""
-    return w.transpose(1, 0, 2).reshape(w.shape[1], -1)
 
 
 def mhsa_pool(grids: np.ndarray, pool: MhsaPool):
@@ -169,8 +169,8 @@ def mhsa_pool(grids: np.ndarray, pool: MhsaPool):
     heads, d_head = pool.head_count, pool.wq.shape[2]
     scale = 1.0 / np.sqrt(d_head)
     flat = x.reshape(n * t, d)
-    q = (flat @ _join_heads(pool.wq)).reshape(n, t, heads, d_head)
-    k = (flat @ _join_heads(pool.wk)).reshape(n, t, heads, d_head)
+    q = (flat @ pool.wq.reshape(d, d)).reshape(n, t, heads, d_head)
+    k = (flat @ pool.wk.reshape(d, d)).reshape(n, t, heads, d_head)
     # (n, heads, T, d_head) views
     q, k = q.transpose(0, 2, 1, 3), k.transpose(0, 2, 1, 3)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
@@ -178,21 +178,24 @@ def mhsa_pool(grids: np.ndarray, pool: MhsaPool):
     attn = np.exp(scores)
     attn /= attn.sum(axis=3, keepdims=True)
     ctx = attn.mean(axis=2) @ x                  # (n, heads, d)
-    concat = (ctx.transpose(1, 0, 2) @ pool.wv).transpose(1, 0, 2)
-    concat = concat.reshape(n, d)
+    concat = ctx.transpose(1, 0, 2) @ pool.wv.transpose(1, 0, 2)
+    concat = concat.transpose(1, 0, 2).reshape(n, d)
     return concat @ pool.wo, (x, q, k, attn, ctx, concat, scale)
 
 
 def _mhsa_backward(dy: np.ndarray, pool: MhsaPool, cache, grads):
     """Write the wq/wk/wv/wo gradients from dy, the (n, d) gradient of the
-    pooled outputs, with one GEMM per weight over all n grids."""
+    pooled outputs, with one GEMM per weight over all n grids. The wq and
+    wk gradients are written through (d, d) views, so grads must be
+    C-ordered."""
     x, q, k, attn, ctx, concat, scale = cache
     n, t, d = x.shape
     heads, d_head = pool.head_count, pool.wq.shape[2]
     np.matmul(concat.T, dy, out=grads["wo"])
     dhead = (dy @ pool.wo.T).reshape(n, heads, d_head).transpose(1, 0, 2)
-    np.matmul(ctx.transpose(1, 2, 0), dhead, out=grads["wv"])
-    dctx = (dhead @ pool.wv.transpose(0, 2, 1)).transpose(1, 0, 2)
+    np.matmul(ctx.transpose(1, 2, 0), dhead,
+              out=grads["wv"].transpose(1, 0, 2))
+    dctx = (dhead @ pool.wv.transpose(1, 2, 0)).transpose(1, 0, 2)
     # every query row of A receives the same gradient, d(mean_t A) / T
     g = (dctx @ x.transpose(0, 2, 1)) / t        # (n, heads, T)
     # softmax Jacobian row-wise: a * (g - (a . g))
@@ -201,10 +204,9 @@ def _mhsa_backward(dy: np.ndarray, pool: MhsaPool, cache, grads):
     flat_t = x.reshape(n * t, d).T
     for key, a, b in (("wq", dscores, k),
                       ("wk", dscores.transpose(0, 1, 3, 2), q)):
-        # (n, heads, T, d_head) -> (n * T, d) in _join_heads column order
+        # (n, heads, T, d_head) -> (n * T, d), head-major columns
         dproj = (a @ b).transpose(0, 2, 1, 3).reshape(n * t, d)
-        grads[key][...] = (flat_t @ dproj).reshape(
-            d, heads, d_head).transpose(1, 0, 2)
+        np.matmul(flat_t, dproj, out=grads[key].reshape(d, d))
 
 
 def _source(bundle: FeatureBundle, entry: LayoutEntry) -> np.ndarray:
@@ -348,7 +350,8 @@ _LOSSES = {"plcc": (plcc_loss, plcc_loss_grad),
 
 
 def _zeros_like_params(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
+    """C-ordered zeros shaped like params, whatever the params' order."""
+    return {k: np.zeros_like(v, order="C") for k, v in params.items()}
 
 
 def _head_from_params(layout, params):
@@ -377,8 +380,9 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     batch is a sequence of (FeatureBundle, mos), scored by _forward.
     Gradients flow back through the score averaging, the MLP, and the
     attention pool when one is present; each MLP weight gradient is one GEMM
-    over the stacked rows of the mini-batch. grads, if given, is a dict
-    shaped like the parameters that is overwritten in place of a fresh one:
+    over the stacked rows of the mini-batch. grads, if given, is a dict of
+    C-ordered arrays shaped like the parameters that is overwritten in place
+    of a fresh one:
     `train` reuses one across steps, which saves allocating and
     page-faulting a parameter-sized dict per step.
     """
@@ -502,7 +506,7 @@ def param_shapes(layout: ConcatLayout, hidden: int,
         if heads < 1 or d % heads:
             raise TrainingError(
                 f"mhsa_heads={heads} does not divide token dim {d}")
-        shapes.update({key: (heads, d, d // heads)
+        shapes.update({key: (d, heads, d // heads)
                        for key in ("wq", "wk", "wv")})
         shapes["wo"] = (d, d)
     return shapes
@@ -511,14 +515,14 @@ def param_shapes(layout: ConcatLayout, hidden: int,
 def init_params(layout: ConcatLayout, cfg: TrainConfig,
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases;
-    fan_in is axis 1 of the per-head wq, wk and wv, else axis 0."""
+    fan_in is axis 0 of every weight."""
     params = {}
     for key, shape in param_shapes(layout, cfg.hidden,
                                    cfg.mhsa_heads).items():
         if key.startswith("b"):
             params[key] = np.zeros(shape)
         else:
-            bound = 1.0 / np.sqrt(shape[1] if len(shape) == 3 else shape[0])
+            bound = 1.0 / np.sqrt(shape[0])
             params[key] = rng.uniform(-bound, bound, size=shape)
     return params
 
@@ -533,8 +537,6 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
     samples = list(dataset)
     if len(samples) < 2:
         raise TrainingError("training needs at least 2 labelled videos")
-    if cfg.batch_size < 2:
-        raise TrainingError("batch_size must be >= 2 for the correlation loss")
     layout = ConcatLayout.from_registry(registry)
     for bundle, _ in samples:
         bundle.validate(registry)
@@ -582,7 +584,6 @@ def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
     header = {
         "layout": [[e.name, e.dim, e.granularity, e.token_count]
                    for e in head.layout.entries],
-        "mhsa_heads": head.pool.head_count if head.pool else None,
         "train_config": asdict(cfg),
         "seed": master_seed,
         "tensors": names,
@@ -604,15 +605,15 @@ def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
     return path
 
 
-_CHECKPOINT_KEYS = ("layout", "mhsa_heads", "seed", "tensors", "train_config")
+_CHECKPOINT_KEYS = ("layout", "seed", "tensors", "train_config")
 
 
 def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint; returns (head, cfg, master_seed).
 
-    Every tensor shape is checked against the layout, the hidden width and
-    the attention head count before it is read, and the file must end with
-    the last tensor.
+    Every tensor shape is checked against the layout and the config's hidden
+    width and attention head count before it is read, and the file must end
+    with the last tensor.
     """
     data = Path(path).read_bytes()
     if len(data) < 10 or data[:4] != CHECKPOINT_MAGIC:
@@ -637,8 +638,7 @@ def load_checkpoint(path: str | Path):
             LayoutEntry(name, dim, gran, tok)
             for name, dim, gran, tok in header["layout"]))
         cfg = TrainConfig(**header["train_config"])
-        heads = header["mhsa_heads"] or cfg.mhsa_heads
-        shapes = param_shapes(layout, cfg.hidden, heads)
+        shapes = param_shapes(layout, cfg.hidden, cfg.mhsa_heads)
     except (TypeError, ValueError, TrainingError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     if header["tensors"] != sorted(shapes):
@@ -660,7 +660,7 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape}, expected "
                 f"{shapes[name]} from the layout, hidden={cfg.hidden} and "
-                f"mhsa_heads={heads}")
+                f"mhsa_heads={cfg.mhsa_heads}")
         n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
         if offset + n_bytes > len(data):
             raise CheckpointError(f"{path}: truncated tensor {name!r}")

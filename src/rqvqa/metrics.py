@@ -93,9 +93,10 @@ def fit_4pl(pred, mos, max_iter: int = 200,
     """Least-squares logistic fit via Levenberg-damped Gauss-Newton.
 
     Starts from beta = (max(mos), min(mos), mean(pred), std(pred)/4) and
-    returns the best parameters found within the iteration budget. A best
-    fit with beta1 <= beta2 maps higher predictions to lower quality; it is
-    rejected, so that a negative correlation keeps its sign.
+    moves only to a strictly lower SSE, so it returns the best parameters
+    found within the iteration budget. A best fit with beta1 <= beta2 maps
+    higher predictions to lower quality; it is rejected, so that a negative
+    correlation keeps its sign.
     """
     x, y = _paired(pred, mos)
     if x.size < 5:
@@ -113,7 +114,6 @@ def fit_4pl(pred, mos, max_iter: int = 200,
 
     r, s = residuals(beta)
     sse = float(r @ r)
-    best_beta, best_sse = beta.copy(), sse
     lam = 1e-3
     for _ in range(max_iter):
         a4 = abs(beta[3])
@@ -146,8 +146,6 @@ def fit_4pl(pred, mos, max_iter: int = 200,
         if sse_new < sse:
             rel_change = abs(sse - sse_new) / max(sse, 1e-30)
             beta, r, s, sse = cand, r_new, s_new, sse_new
-            if sse < best_sse:
-                best_beta, best_sse = beta.copy(), sse
             lam = max(lam * 0.1, 1e-12)
             if rel_change < rel_tol:
                 break
@@ -155,11 +153,11 @@ def fit_4pl(pred, mos, max_iter: int = 200,
             lam *= 10.0
             if lam > 1e12:
                 break
-    if best_beta[0] <= best_beta[1]:
+    if beta[0] <= beta[1]:
         raise MetricError(
-            f"logistic fit is not increasing (beta1={best_beta[0]:.6g} <= "
-            f"beta2={best_beta[1]:.6g})")
-    return FourPLParams(*best_beta)
+            f"logistic fit is not increasing (beta1={beta[0]:.6g} <= "
+            f"beta2={beta[1]:.6g})")
+    return FourPLParams(*beta)
 
 
 @dataclass(frozen=True)

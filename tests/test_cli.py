@@ -175,6 +175,21 @@ class TestBackboneWidthsFromSidecars:
                        f"{tmp_path / 'corpus' / 'v2' / 'temporal.rqvf'}: dim "
                        f"mismatch (file 9, source 8)")
 
+    def test_batch_size_below_two_rejected(self, tmp_path, capsys):
+        # the correlation loss needs 2 videos per batch; the config says so
+        # before any video is loaded
+        manifest = sidecar_corpus(tmp_path / "corpus", 0)
+        for video_dir in (tmp_path / "corpus").glob("v*"):
+            for sidecar in video_dir.glob("*.rqvf"):
+                sidecar.unlink()
+        assert main(["train", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "m.ckpt")] + SIDECAR_TRAIN
+                    + ["--set", "train.batch_size=1"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: TrainingError: batch_size must be >= 2 for "
+                       "the correlation loss")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_header_file_and_empty_manifest(self, tmp_path, capsys):
         manifest = sidecar_corpus(tmp_path / "corpus", 0)
         missing = tmp_path / "corpus" / "v0" / "frame_quality_lmm.rqvf"

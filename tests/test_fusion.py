@@ -47,9 +47,9 @@ def make_pool(d=8, heads=2, seed=0):
     rng = np.random.default_rng(seed)
     d_h = d // heads
     return MhsaPool(
-        wq=rng.standard_normal((heads, d, d_h)) * 0.3,
-        wk=rng.standard_normal((heads, d, d_h)) * 0.3,
-        wv=rng.standard_normal((heads, d, d_h)) * 0.3,
+        wq=rng.standard_normal((d, heads, d_h)) * 0.3,
+        wk=rng.standard_normal((d, heads, d_h)) * 0.3,
+        wv=rng.standard_normal((d, heads, d_h)) * 0.3,
         wo=rng.standard_normal((d, d)) * 0.3,
     )
 
@@ -60,7 +60,7 @@ def oracle_mhsa(tokens, pool):
     d_h = pool.wq.shape[2]
     head_outs = []
     for h in range(pool.head_count):
-        q, k, v = x @ pool.wq[h], x @ pool.wk[h], x @ pool.wv[h]
+        q, k, v = x @ pool.wq[:, h], x @ pool.wk[:, h], x @ pool.wv[:, h]
         scores = q @ k.T / np.sqrt(d_h)
         attn = np.empty_like(scores)
         for i in range(scores.shape[0]):
@@ -82,7 +82,7 @@ class TestMhsaPool:
         out = pool_one(token, pool)
         # attention over one element is 1, so output = (V-proj) @ Wo
         expected = np.concatenate(
-            [token[0] @ pool.wv[h] for h in range(2)]) @ pool.wo
+            [token[0] @ pool.wv[:, h] for h in range(2)]) @ pool.wo
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_identical_tokens_reduce_to_single_token_case(self):
@@ -786,6 +786,27 @@ class TestAttentionPoolTraining:
         for key in ("wq", "wk", "wv", "wo"):
             assert np.any(grads[key] != 0.0)
 
+    def test_fortran_ordered_pool_gets_the_same_gradients(self):
+        # the wq/wk gradients are written through (d, d) views of the
+        # gradient buffers, which must not inherit the weights' order
+        layout = ConcatLayout.from_registry(token_registry())
+        cfg = TrainConfig(hidden=8, mhsa_heads=2)
+        head = build_head(layout, cfg, seed=6)
+        fortran = build_head(layout, cfg, seed=6)
+        for key in ("wq", "wk", "wv"):
+            weight = np.asfortranarray(getattr(fortran.pool, key))
+            assert not weight.flags.c_contiguous
+            setattr(fortran.pool, key, weight)
+        batch = [(token_bundle(n_z=1 + i % 3, seed=i, video_id=f"v{i}"),
+                  float(i)) for i in range(4)]
+        loss_c, grads_c = backprop(batch, head)
+        loss_f, grads_f = backprop(batch, fortran)
+        assert loss_f == loss_c
+        for key in ("wq", "wk", "wv", "wo"):
+            assert np.any(grads_c[key] != 0.0), key
+        for key, grad in grads_c.items():
+            assert grads_f[key].tobytes() == grad.tobytes(), key
+
     def test_init_draws_in_table_order_with_fan_in_bounds(self):
         layout = ConcatLayout.from_registry(token_registry())
         cfg = TrainConfig(hidden=8, mhsa_heads=2)
@@ -807,6 +828,9 @@ class TestAttentionPoolTraining:
             layout, 8, 2)
         head = _head_from_params(layout, params)
         assert head.pool.head_count == 2
+        # (d, heads, d_head): the joined projection is a view, not a copy
+        assert head.pool.wq.shape == (8, 2, 4)
+        assert np.shares_memory(head.pool.wq.reshape(8, 8), params["wq"])
         params["b2"] += 0.5
         assert head.mlp.b2 == 0.5
         for key, value in params_from_head(head).items():
@@ -885,9 +909,14 @@ class TestCheckpoint:
     def test_missing_header_key_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         header, body = self._parts(path)
-        del header["mhsa_heads"]
-        with pytest.raises(CheckpointError, match="missing mhsa_heads"):
+        del header["seed"]
+        with pytest.raises(CheckpointError, match="missing seed"):
             load_checkpoint(self._write(path, header, body))
+
+    def test_header_states_the_head_count_once(self, tmp_path):
+        header, _ = self._parts(self._saved(tmp_path, tokens=True))
+        assert "mhsa_heads" not in header
+        assert header["train_config"]["mhsa_heads"] == 2
 
     def test_header_holds_no_fixed_training_constants(self, tmp_path):
         header, _ = self._parts(self._saved(tmp_path))
@@ -896,17 +925,23 @@ class TestCheckpoint:
             "learning_rate", "batch_size", "epochs", "lr_decay_epoch", "seed",
             "loss", "hidden", "mhsa_heads"}
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_versions_rejected(self, tmp_path, version):
+        # a head without attention pool: its tensors are laid out as in
+        # version 3, so only the version number refuses the file
         path = self._saved(tmp_path)
         header, body = self._parts(path)
-        header["activation"] = "relu"
-        header["train_config"].update(beta1=0.9, beta2=0.999, eps=1e-8,
-                                      lr_decay_factor=10.0,
-                                      activation="relu")
+        header["mhsa_heads"] = None          # both versions stated it
+        if version == 1:
+            header["activation"] = "relu"
+            header["train_config"].update(beta1=0.9, beta2=0.999, eps=1e-8,
+                                          lr_decay_factor=10.0,
+                                          activation="relu")
         blob = json.dumps(header).encode()
-        path.write_bytes(b"RQVC" + struct.pack("<HI", 1, len(blob)) + blob
-                         + body)
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
+        path.write_bytes(b"RQVC" + struct.pack("<HI", version, len(blob))
+                         + blob + body)
+        with pytest.raises(CheckpointError,
+                           match=f"unsupported version {version}"):
             load_checkpoint(path)
 
     def test_truncated_shape_record_rejected(self, tmp_path):
@@ -937,7 +972,7 @@ class TestCheckpoint:
             header["layout"][0][1] += 1
         elif field == "hidden":
             header["train_config"]["hidden"] = 9
-        else:                           # (4, 8, 2) expected, (2, 8, 4) stored
-            header["mhsa_heads"] = 4
+        else:                           # (8, 4, 2) expected, (8, 2, 4) stored
+            header["train_config"]["mhsa_heads"] = 4
         with pytest.raises(CheckpointError, match="has shape"):
             load_checkpoint(self._write(path, header, body))

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -187,6 +190,20 @@ class TestExperiment:
                                  r"ceil\(0.8 \* 2\) = 2 of 2"):
             run_experiment(manifest, toy_registry(), FAST_TRAIN,
                            ratio=0.8, extraction=EXTRACTION)
+
+    def test_experiment_script_runs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        script = root / "scripts" / "run_synthetic_experiment.py"
+        run = subprocess.run(
+            [sys.executable, str(script), "--workdir", str(tmp_path),
+             "--n-videos", "20", "--repeats", "1", "--epochs", "1",
+             "--hidden", "8"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert any(line.split()[:1] == ["mean"]
+                   for line in run.stdout.splitlines()), run.stdout
 
 
 def hand_members(manifest, registry, k_splits, master_seed):

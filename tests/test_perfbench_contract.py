@@ -33,7 +33,7 @@ def test_every_target_resolves(spans):
         assert callable(getattr(module, attr)), (name, module.__name__, attr)
 
 
-def test_traced_training_reaches_adam_and_attention_pool(spans):
+def test_traced_training_reaches_adam_and_attention_pool(spans, tmp_path):
     samples = [(token_bundle(seed=i, video_id=f"v{i}"), float(i % 3))
                for i in range(6)]
     cfg = fusion.TrainConfig(learning_rate=1e-3, batch_size=3, epochs=2,
@@ -44,9 +44,14 @@ def test_traced_training_reaches_adam_and_attention_pool(spans):
         tracer.run_id = "pass"
         result = fusion.train(samples, token_registry(), cfg)
         score = fusion.video_forward(samples[0][0], result.head)
+        path = fusion.save_checkpoint(tmp_path / "m.ckpt", result.head, cfg)
+        loaded, _, _ = fusion.load_checkpoint(path)
     finally:
         tracer.uninstall()
     assert np.isfinite(score)
+    # the reloaded head scores bit for bit as the trained one
+    reloaded = fusion.video_forward(samples[0][0], loaded)
+    assert np.float64(reloaded).tobytes() == np.float64(score).tobytes()
     totals = tracer.totals("pass")
     # train looks up the module-level adam_step once per step
     assert result.trace.steps > 0
@@ -55,6 +60,12 @@ def test_traced_training_reaches_adam_and_attention_pool(spans):
     # grids of a mini-batch or a video with one mhsa_pool call
     assert totals["fusion.video_forward"]["calls"] == 1
     assert totals["fusion.mhsa_pool"]["calls"] == result.trace.steps + 1
+    # the load span counts 8 bytes per parameter of the loaded head
+    n_params = sum(int(np.prod(shape)) for shape in fusion.param_shapes(
+        loaded.layout, cfg.hidden, cfg.mhsa_heads).values())
+    assert totals["fusion.save_checkpoint"]["calls"] == 1
+    assert totals["fusion.load_checkpoint"]["calls"] == 1
+    assert totals["fusion.load_checkpoint"]["bytes"] == 8 * n_params
 
 
 def test_traced_toy_resolve_reaches_every_load_layer(spans, tmp_path):
