@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: preprocess, gms, features, train, predict, eval, ensemble,
-synth. Every command accepts --config FILE and repeated --set key=value
-overrides. Failures exit nonzero with a single machine-parsable line on
-stderr: `error: <kind>: <message>`.
+experiment, synth. Every command but eval and synth accepts --config FILE
+and repeated --set key=value overrides. Failures exit nonzero with a single
+machine-parsable line on stderr: `error: <kind>: <message>`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .harness import (
     load_manifest,
     predict_scores,
     resolve_bundle,
+    run_experiment,
     write_predictions,
 )
 from .metrics import evaluate
@@ -213,6 +214,25 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+def cmd_experiment(args) -> int:
+    cfg = _config(args)
+    manifest, registry = _manifest_and_registry(cfg, args.manifest)
+    report = run_experiment(manifest, registry, cfg.train,
+                            repeats=args.repeats, master_seed=cfg.seed,
+                            ratio=cfg.split.ratio, grouping=cfg.split.grouping,
+                            extraction=cfg.extraction)
+    for row in report.rows:
+        r = row.report
+        print(f"split={row.split_seed} train_seed={row.train_seed} "
+              f"n_train={row.n_train} n_test={row.n_test} "
+              f"srcc={r.srcc:.6f} plcc_raw={r.plcc_raw:.6f} "
+              f"plcc_4pl={r.plcc_4pl:.6f}")
+    print(f"mean srcc={report.mean_srcc:.6f} "
+          f"plcc_raw={report.mean_plcc_raw:.6f} "
+          f"plcc_4pl={report.mean_plcc_4pl:.6f}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rqvqa",
@@ -276,6 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_ensemble)
+
+    p = sub.add_parser("experiment",
+                       help="train and evaluate on repeated seeded splits")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--repeats", type=int, default=5)
+    _add_common(p)
+    p.set_defaults(func=cmd_experiment)
     return parser
 
 

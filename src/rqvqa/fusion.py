@@ -382,7 +382,7 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     attention pool when one is present; each MLP weight gradient is one GEMM
     over the stacked rows of the mini-batch. grads, if given, is a dict of
     C-ordered arrays shaped like the parameters that is overwritten in place
-    of a fresh one:
+    of a fresh one (any other memory order raises TrainingError):
     `train` reuses one across steps, which saves allocating and
     page-faulting a parameter-sized dict per step.
     """
@@ -397,6 +397,11 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
 
     if grads is None:
         grads = _zeros_like_params(params_from_head(head))
+    for key, g in grads.items():
+        # a reshape of a non-C-ordered wq/wk buffer is a copy, so the
+        # gradient written into it would never reach the caller
+        if not g.flags.c_contiguous:
+            raise TrainingError(f"gradient buffer {key!r} is not C-ordered")
     u = np.repeat(dpred / counts, counts)        # upstream per row score
     np.matmul(u, a, out=grads["w2"])
     grads["b2"][...] = u.sum()

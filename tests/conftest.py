@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rqvqa.preproc import VideoFrames
+
+# the desk protocol of `rqvqa experiment` and the acceptance suite
+DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
 
 def make_video(n_frames=8, height=16, width=16, fps=4, seed=0):

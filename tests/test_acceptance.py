@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rqvqa.config import load_config
 from rqvqa.errors import (
     SidecarChecksumError,
     SidecarMagicError,
@@ -20,7 +21,6 @@ from rqvqa.errors import (
     SidecarVersionError,
 )
 from rqvqa.features import (
-    ExtractionConfig,
     FeatureBundle,
     FeatureSource,
     SourceRegistry,
@@ -56,15 +56,15 @@ from rqvqa.metrics import (
 )
 from rqvqa.synthetic import make_synthetic_corpus
 
+from conftest import DESK_CFG
 from test_fusion import per_row_fused
 from test_metrics import brute_pearson, brute_spearman
 
-EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=8, gms_seed=0)
-
-# the schedule under test: initial rate scaled to 1e-4, decayed by 10 after
-# 10 of 30 epochs, batches of 6; head width 512 for the 40-dim toy features
-E2E_TRAIN = TrainConfig(learning_rate=1e-4, batch_size=6, epochs=30,
-                        lr_decay_epoch=10, hidden=512, seed=100)
+# the desk protocol (extraction, schedule, split); the training seed is the
+# test's own
+DESK = load_config(DESK_CFG)
+EXTRACTION = DESK.extraction
+E2E_TRAIN = replace(DESK.train, seed=100)
 
 
 def report(name, ok, detail=""):
@@ -258,7 +258,8 @@ def test_4_logistic_mapping():
 def test_5_end_to_end_learning(corpus):
     start = time.perf_counter()
     manifest, registry, bundles = corpus
-    plan = split(manifest, ratio=0.8, grouping="by-scene", seed=0)
+    plan = split(manifest, ratio=DESK.split.ratio,
+                 grouping=DESK.split.grouping, seed=0)
     train_set = [bundles[v] for v in plan.train_ids]
     result = train(train_set, registry, E2E_TRAIN)
     preds = [video_forward(bundles[v][0], result.head) for v in plan.test_ids]
@@ -279,7 +280,8 @@ def test_6_loss_ablation_direction(corpus):
     manifest, registry, bundles = corpus
     margins = []
     for seed in range(5):
-        plan = split(manifest, ratio=0.8, grouping="by-scene", seed=seed)
+        plan = split(manifest, ratio=DESK.split.ratio,
+                     grouping=DESK.split.grouping, seed=seed)
         train_set = [bundles[v] for v in plan.train_ids]
         mos = [bundles[v][1] for v in plan.test_ids]
         srcc = {}

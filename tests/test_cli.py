@@ -32,6 +32,7 @@ from rqvqa.preproc import (
 )
 
 import toy_oracle
+from conftest import DESK_CFG
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,18 @@ class TestBackboneWidthsFromSidecars:
             ("spatiotemporal", "video", 10, 0)]
         assert (head.pool is not None) == bool(tokens)
         assert len(list(csv.reader(open(pred)))) == 9
+
+    def test_experiment_at_sidecar_widths(self, tmp_path, capsys):
+        # 4 scenes of 2 videos: a 0.5 split trains on 2 and tests on 2
+        manifest = sidecar_corpus(tmp_path / "corpus", 4)
+        assert main(["experiment", "--manifest", str(manifest),
+                     "--repeats", "2", "--set", "split.ratio=0.5"]
+                    + SIDECAR_TRAIN) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:4] for line in lines[:2]] == [
+            ["split=0", "train_seed=100000", "n_train=4", "n_test=4"],
+            ["split=1", "train_seed=100001", "n_train=4", "n_test=4"]]
+        assert lines[2].split()[0] == "mean" and len(lines) == 3
 
     def test_video_at_other_widths_rejected(self, tmp_path, capsys):
         manifest = sidecar_corpus(tmp_path / "corpus", 0)
@@ -348,6 +361,39 @@ class TestToyExtractionErrorsNameTheVideo:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestExperimentCommand:
+    def test_experiment_runs(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--n", "20",
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert main(["experiment", "--manifest",
+                     str(tmp_path / "manifest.csv"), "--config",
+                     str(DESK_CFG), "--repeats", "1",
+                     "--set", "train.epochs=1",
+                     "--set", "train.lr_decay_epoch=1",
+                     "--set", "train.hidden=8"]) == 0
+        out = capsys.readouterr().out
+        assert any(line.split()[:1] == ["mean"]
+                   for line in out.splitlines()), out
+
+    @pytest.mark.parametrize("option, message", [
+        (["--repeats", "0"], "repeats must be >= 1, got 0"),
+        (["--set", "split.ratio=0.99"],
+         "ratio 0.99 leaves no test video: ceil(0.99 * 3) = 3 of 3 "
+         "by-scene groups train")], ids=["repeats", "ratio"])
+    def test_bad_protocol_one_line_error(self, tmp_path, capsys, option,
+                                         message):
+        # no video exists, so loading one would fail differently
+        manifest = save_manifest(DatasetManifest([
+            ManifestRecord(f"v{v}", str(tmp_path / f"v{v}"), float(v),
+                           f"s{v % 3}") for v in range(6)]),
+            tmp_path / "manifest.csv")
+        assert main(["experiment", "--manifest", str(manifest),
+                     *option]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: ManifestError: {message}"
+
+
 class TestEnsembleCommand:
     def test_ensemble_csv(self, workspace):
         corpus = workspace / "corpus"
@@ -408,17 +454,21 @@ class TestErrors:
         ("train", "preproc.crop_mode", "center, random"),
         ("ensemble", "ensemble.combiner", "mean, median"),
         ("preprocess", "preproc.crop_mode", "center, random"),
-        ("gms", "split.grouping", "by-scene, by-video")])
+        ("gms", "split.grouping", "by-scene, by-video"),
+        ("experiment", "split.grouping", "by-scene, by-video")])
     def test_enum_value_rejected_when_config_loads(self, workspace, capsys,
                                                    command, key, choices):
         corpus = workspace / "corpus"
-        inputs = {"train": ["--manifest", str(corpus / "manifest.csv")],
+        out = ["--out", str(workspace / "never")]
+        inputs = {"train": ["--manifest", str(corpus / "manifest.csv"), *out],
                   "ensemble": ["--train-manifest",
-                               str(corpus / "manifest.csv")],
-                  "preprocess": ["--video", str(corpus / "scene0000_v0")],
-                  "gms": ["--video", str(corpus / "scene0000_v0")]}[command]
-        code = main([command, *inputs, "--out", str(workspace / "never"),
-                     "--set", f"{key}=mode"])
+                               str(corpus / "manifest.csv"), *out],
+                  "preprocess": ["--video", str(corpus / "scene0000_v0"),
+                                 *out],
+                  "gms": ["--video", str(corpus / "scene0000_v0"), *out],
+                  "experiment": ["--manifest",
+                                 str(corpus / "manifest.csv")]}[command]
+        code = main([command, *inputs, "--set", f"{key}=mode"])
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err == (f"error: ConfigError: {key}: expected one of "

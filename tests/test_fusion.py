@@ -393,6 +393,14 @@ class TestBackprop:
         assert reused is stale
         for k, g in fresh.items():
             np.testing.assert_array_equal(reused[k], g)
+        # a Fortran-ordered wq or wk buffer would take its gradient in a
+        # reshaped copy and stay stale, so it is rejected by name
+        for key in ("wq", "wk"):
+            fortran = {**stale, key: np.asfortranarray(stale[key])}
+            with pytest.raises(TrainingError,
+                               match=f"gradient buffer '{key}' is not "
+                                     f"C-ordered"):
+                backprop(batch, head, grads=fortran)
 
     def test_mse_loss_path(self):
         layout = toy_layout()

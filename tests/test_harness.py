@@ -1,7 +1,4 @@
 import csv
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -179,7 +176,6 @@ class TestExperiment:
             assert ra.report.srcc == rb.report.srcc
             assert ra.report.plcc_4pl == rb.report.plcc_4pl
 
-
     def test_empty_test_split_rejected_before_training(self):
         # 2 scenes at ratio 0.8 train ceil(1.6) = 2 groups; the paths do
         # not exist, so loading or training would fail differently
@@ -190,20 +186,6 @@ class TestExperiment:
                                  r"ceil\(0.8 \* 2\) = 2 of 2"):
             run_experiment(manifest, toy_registry(), FAST_TRAIN,
                            ratio=0.8, extraction=EXTRACTION)
-
-    def test_experiment_script_runs(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-        script = root / "scripts" / "run_synthetic_experiment.py"
-        run = subprocess.run(
-            [sys.executable, str(script), "--workdir", str(tmp_path),
-             "--n-videos", "20", "--repeats", "1", "--epochs", "1",
-             "--hidden", "8"],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert run.returncode == 0, run.stderr
-        assert any(line.split()[:1] == ["mean"]
-                   for line in run.stdout.splitlines()), run.stdout
 
 
 def hand_members(manifest, registry, k_splits, master_seed):

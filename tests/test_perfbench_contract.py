@@ -1,31 +1,53 @@
 """The attributes that `perfbench/run.py --trace 1` wraps must stay where
 its tracer looks them up, or a traced run silently records nothing for a
-layer. perfbench/spans.py is loaded read-only; nothing under perfbench/
-is changed."""
+layer; and perfbench's copy of the desk protocol must equal
+configs/desk.cfg. perfbench/spans.py and perfbench/workloads.py are loaded
+read-only; nothing under perfbench/ is changed."""
 
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rqvqa import fusion, harness
+from rqvqa.config import load_config
 from rqvqa.features import ExtractionConfig, toy_registry
 from rqvqa.harness import ManifestRecord
 from rqvqa.preproc import save_raw_video
 
-from conftest import make_video
+from conftest import DESK_CFG, make_video
 from test_fusion import token_bundle, token_registry
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, registered in sys.modules first so
+    that its dataclasses can look their module up."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("spans")
+
+
+def test_toy_corpus_protocol_is_the_desk_config():
+    # perfbench keeps its own copy of the protocol; it must not drift
+    desk = load_config(DESK_CFG)
+    workloads = load_perfbench("workloads")
+    toy = workloads.make_workloads()["toy-corpus"]
+    assert replace(toy.train, seed=0) == desk.train
+    assert workloads.TOY_EXTRACTION == desk.extraction
+    assert toy.split_ratio == desk.split.ratio
 
 
 def test_every_target_resolves(spans):
