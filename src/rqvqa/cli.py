@@ -19,6 +19,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
 from .features import (
+    SourceRegistry,
     backbone_registry_from_sidecars,
     fragment_volume,
     save_sidecar,
@@ -147,8 +148,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _config(args)
     head, _, _ = load_checkpoint(args.checkpoint)
-    manifest, registry = _manifest_and_registry(cfg, args.manifest)
-    rows = predict_scores(head, manifest, registry, cfg.extraction)
+    rows = predict_scores(head, load_manifest(args.manifest),
+                          SourceRegistry(head.layout.entries), cfg.extraction)
     write_predictions(rows, args.out)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0

@@ -51,6 +51,9 @@ _GRAN_CODE = {name: code for code, name in enumerate(GRANULARITIES)}
 # spatiotemporal sources. Ties within a role break on the source name.
 ROLE_ORDER = ("spatial", "temporal", "frame_quality", "video_quality")
 
+# Built-in deterministic extractors a source may fall back on (`toy`).
+TOY_EXTRACTORS = ("pixelstats", "motionstats", "fragmentstats")
+
 # Label sets behind the 495-way frame-quality probability vector
 # (9 scenes x 11 distortions x 5 levels).
 LIQE_SCENES = ("animal", "cityscape", "human", "indoor scene", "landscape",
@@ -75,16 +78,32 @@ class FeatureSource:
     toy: str | None = None           # built-in extractor name, if any
 
     def __post_init__(self):
+        # a spec may come from a checkpoint header: types are checked too
+        for key, kind in (("name", str), ("dim", int), ("token_count", int),
+                          ("probability", bool)):
+            value = getattr(self, key)
+            if type(value) is not kind:          # True is no int here
+                raise FeatureError(
+                    f"{self.name}: {key} must be {kind.__name__}, got "
+                    f"{value!r}")
         if self.granularity not in GRANULARITIES:
             raise FeatureError(f"unknown granularity {self.granularity!r}")
         if self.role not in ROLE_ORDER:
             raise FeatureError(f"unknown role {self.role!r}")
+        if self.toy is not None and self.toy not in TOY_EXTRACTORS:
+            raise FeatureError(f"unknown toy extractor {self.toy!r}")
         if self.dim < 1:
             raise FeatureError(f"{self.name}: dim must be >= 1")
         if self.granularity == "tokens" and self.token_count < 1:
             raise FeatureError(f"{self.name}: tokens source needs token_count")
         if self.granularity != "tokens" and self.token_count:
             raise FeatureError(f"{self.name}: token_count only valid for tokens")
+
+    def rows(self, n_keyframes: int) -> int:
+        """Matrix rows of this source for a video of n_keyframes key frames."""
+        if self.granularity == "video":
+            return 1
+        return n_keyframes * max(self.token_count, 1)
 
 
 class SourceRegistry:
@@ -176,11 +195,7 @@ class FeatureBundle:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
     def rows_expected(self, source: FeatureSource) -> int:
-        if source.granularity == "video":
-            return 1
-        if source.granularity == "tokens":
-            return self.n_keyframes * source.token_count
-        return self.n_keyframes
+        return source.rows(self.n_keyframes)
 
     def validate(self, registry: SourceRegistry) -> None:
         missing = [s.name for s in registry if s.name not in self.matrices]
@@ -221,18 +236,11 @@ def save_sidecar(source: FeatureSource, matrix: np.ndarray,
         raise SidecarShapeError(
             f"{source.name}: matrix {matrix.shape} does not match dim {source.dim}")
     rows = matrix.shape[0]
-    if source.granularity == "tokens":
-        if rows % source.token_count:
-            raise SidecarShapeError(
-                f"{source.name}: {rows} rows not divisible by "
-                f"token_count {source.token_count}")
-        count = rows // source.token_count
-    elif source.granularity == "video":
-        if rows != 1:
-            raise SidecarShapeError(f"{source.name}: video source needs 1 row")
-        count = 1
-    else:
-        count = rows
+    count = rows // source.rows(1)
+    if source.rows(count) != rows:
+        raise SidecarShapeError(
+            f"{source.name}: {rows} rows fit no key-frame count of a "
+            f"{source.granularity} source (token_count {source.token_count})")
 
     name_bytes = source.name.encode("utf-8")
     header = MAGIC + struct.pack(
@@ -411,9 +419,7 @@ def _toy_matrix(toy: str, video: VideoFrames,
         return toy_pixelstats(extract_key_frames(video))
     if toy == "motionstats":
         return toy_motionstats(extract_chunks(video))
-    if toy == "fragmentstats":
-        return toy_fragmentstats(fragment_volume(video, extraction))[None, :]
-    raise FeatureError(f"unknown toy extractor {toy!r}")
+    return toy_fragmentstats(fragment_volume(video, extraction))[None, :]
 
 
 def assemble_bundle(video: VideoFrames | None, registry: SourceRegistry,
@@ -424,11 +430,11 @@ def assemble_bundle(video: VideoFrames | None, registry: SourceRegistry,
     """Resolve every registered source (sidecar first, toy fallback).
 
     With video=None all sources must resolve from sidecars; N_z is then taken
-    from the sidecar counts, which must agree across sources.
+    from the first per-index sidecar, and validate rejects any source whose
+    rows disagree with it. Errors name the video; sidecar errors their file.
     """
     sidecar_dir = Path(sidecar_dir) if sidecar_dir is not None else None
     matrices: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
     missing: list[str] = []
 
     for source in registry:
@@ -436,10 +442,6 @@ def assemble_bundle(video: VideoFrames | None, registry: SourceRegistry,
         if sidecar is not None and sidecar.is_file():
             _, _, _, mat = load_sidecar(sidecar, expect=source)
             matrices[source.name] = mat.astype(np.float64)
-            rows = mat.shape[0]
-            counts[source.name] = (
-                1 if source.granularity == "video"
-                else rows // max(source.token_count, 1))
         elif source.toy is not None and video is not None:
             try:
                 matrices[source.name] = _toy_matrix(source.toy, video,
@@ -455,16 +457,16 @@ def assemble_bundle(video: VideoFrames | None, registry: SourceRegistry,
     if video is not None:
         n_z = video.frame_count // video.frame_rate
     else:
-        per_index = [c for name, c in counts.items()
-                     if registry[name].granularity != "video"]
-        if not per_index:
+        first = next((s for s in registry if s.granularity != "video"), None)
+        if first is None:
             raise FeatureError(
                 f"{video_id}: cannot infer key-frame count from "
                 f"video-granularity sidecars alone")
-        n_z = per_index[0]
-        if any(c != n_z for c in per_index):
-            raise FeatureError(f"{video_id}: sidecar counts disagree: {counts}")
+        n_z = len(matrices[first.name]) // first.rows(1)
 
     bundle = FeatureBundle(video_id=video_id, n_keyframes=n_z, matrices=matrices)
-    bundle.validate(registry)
+    try:
+        bundle.validate(registry)
+    except RqvqaError as exc:
+        raise type(exc)(f"{video_id}: {exc}") from exc
     return bundle

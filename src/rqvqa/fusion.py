@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, FeatureError, TrainingError
-from .features import FeatureBundle, SourceRegistry
+from .features import FeatureBundle, FeatureSource, SourceRegistry
 
 EPS_NORM = 1e-8  # stabilizer added to each norm in the correlation loss
 ADAM_BLOCK = 8192  # elements per in-place Adam block (64 KiB of float64)
@@ -30,7 +30,7 @@ ADAM_EPS = 1e-8
 LR_DECAY_FACTOR = 10.0
 
 CHECKPOINT_MAGIC = b"RQVC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +38,10 @@ CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
-class LayoutEntry:
-    name: str
-    dim: int
-    granularity: str
-    token_count: int = 0
-
-
-@dataclass(frozen=True)
 class ConcatLayout:
-    """Ordered segment map of the fused per-index feature vector."""
+    """Segment map of the fused per-index vector: sources in role order."""
 
-    entries: tuple[LayoutEntry, ...]
+    entries: tuple[FeatureSource, ...]
 
     @property
     def total_dim(self) -> int:
@@ -62,7 +54,7 @@ class ConcatLayout:
             start += e.dim
         return out
 
-    def token_entry(self) -> LayoutEntry | None:
+    def token_entry(self) -> FeatureSource | None:
         tokens = [e for e in self.entries if e.granularity == "tokens"]
         if len(tokens) > 1:
             raise TrainingError("at most one token-grid source is supported")
@@ -70,10 +62,7 @@ class ConcatLayout:
 
     @classmethod
     def from_registry(cls, registry: SourceRegistry) -> "ConcatLayout":
-        entries = tuple(
-            LayoutEntry(s.name, s.dim, s.granularity, s.token_count)
-            for s in registry.in_role_order())
-        return cls(entries=entries)
+        return cls(tuple(registry.in_role_order()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +198,7 @@ def _mhsa_backward(dy: np.ndarray, pool: MhsaPool, cache, grads):
         np.matmul(flat_t, dproj, out=grads[key].reshape(d, d))
 
 
-def _source(bundle: FeatureBundle, entry: LayoutEntry) -> np.ndarray:
+def _source(bundle: FeatureBundle, entry: FeatureSource) -> np.ndarray:
     if entry.name not in bundle.matrices:
         raise FeatureError(f"missing source {entry.name!r}")
     mat = bundle.matrices[entry.name]
@@ -583,12 +572,11 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
 
 def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
                     master_seed: int = 0) -> Path:
-    """Binary container: layout descriptor, f64 tensors, config echo, seed."""
+    """Binary container: full source specs, f64 tensors, config echo, seed."""
     params = params_from_head(head)
     names = sorted(params)
     header = {
-        "layout": [[e.name, e.dim, e.granularity, e.token_count]
-                   for e in head.layout.entries],
+        "layout": [asdict(source) for source in head.layout.entries],
         "train_config": asdict(cfg),
         "seed": master_seed,
         "tensors": names,
@@ -616,9 +604,9 @@ _CHECKPOINT_KEYS = ("layout", "seed", "tensors", "train_config")
 def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint; returns (head, cfg, master_seed).
 
-    Every tensor shape is checked against the layout and the config's hidden
-    width and attention head count before it is read, and the file must end
-    with the last tensor.
+    Each layout entry must be a full source spec, and every tensor shape is
+    checked against the layout, hidden width and attention head count before
+    it is read; the file must end with the last tensor.
     """
     data = Path(path).read_bytes()
     if len(data) < 10 or data[:4] != CHECKPOINT_MAGIC:
@@ -639,12 +627,13 @@ def load_checkpoint(path: str | Path):
         raise CheckpointError(
             f"{path}: header is missing {', '.join(missing)}")
     try:
-        layout = ConcatLayout(entries=tuple(
-            LayoutEntry(name, dim, gran, tok)
-            for name, dim, gran, tok in header["layout"]))
+        layout = ConcatLayout(tuple(FeatureSource(**spec)
+                                    for spec in header["layout"]))
+        if [asdict(source) for source in layout.entries] != header["layout"]:
+            raise FeatureError("a layout entry does not state every field")
         cfg = TrainConfig(**header["train_config"])
         shapes = param_shapes(layout, cfg.hidden, cfg.mhsa_heads)
-    except (TypeError, ValueError, TrainingError) as exc:
+    except (TypeError, ValueError, FeatureError, TrainingError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     if header["tensors"] != sorted(shapes):
         raise CheckpointError(

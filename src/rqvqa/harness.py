@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, ManifestError
-from .features import ExtractionConfig, SourceRegistry, assemble_bundle
+from .features import (
+    ExtractionConfig,
+    FeatureSource,
+    SourceRegistry,
+    assemble_bundle,
+)
 from .fusion import (
     ConcatLayout,
     FusionHead,
@@ -196,8 +201,9 @@ def _check_layout(expected: ConcatLayout, found: ConcatLayout) -> None:
             zip_longest(exp, got)) if pair[0] != pair[1])
         raise CheckpointError(
             f"registry does not match checkpoint layout at entry {i} "
-            f"(name, dim, granularity, token_count): checkpoint has {a}, "
-            f"registry has {b}; expected {exp}, found {got}")
+            f"({', '.join(f.name for f in fields(FeatureSource))}): "
+            f"checkpoint has {a}, registry has {b}; expected {exp}, found "
+            f"{got}")
 
 
 def write_predictions(rows, path: str | Path) -> Path:

@@ -111,6 +111,22 @@ class TestTrainPredictEval:
                     "n=24"):
             assert key in report
 
+    def test_predict_takes_its_sources_from_the_checkpoint(self, workspace):
+        # a toy checkpoint predicts the same bytes whatever `registry` says
+        corpus = workspace / "corpus"
+        args = ["--config", str(workspace / "cfg.txt")]
+        ckpt = workspace / "toy.ckpt"
+        assert main(["train", "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(ckpt)] + args) == 0
+        for tag, extra in (("toy", []),
+                           ("bb", ["--set", "registry=backbone"])):
+            assert main(["predict", "--checkpoint", str(ckpt),
+                         "--manifest", str(corpus / "manifest.csv"),
+                         "--out", str(workspace / f"{tag}.csv")]
+                        + args + extra) == 0
+        assert (workspace / "toy.csv").read_bytes() == \
+            (workspace / "bb.csv").read_bytes()
+
     def test_prediction_byte_identical_across_runs(self, workspace):
         corpus = workspace / "corpus"
         args = ["--config", str(workspace / "cfg.txt")]
@@ -219,8 +235,10 @@ class TestBackboneWidthsFromSidecars:
         assert err.startswith(f"error: ManifestError: {empty}: ")
         assert "\n" not in err
 
-    def test_layout_mismatch_names_the_first_differing_entry(self, tmp_path,
-                                                             capsys):
+    def test_token_checkpoint_on_pooled_sidecars_rejected(self, tmp_path,
+                                                          capsys):
+        # predict takes the sources from the checkpoint, so the first
+        # sidecar that does not match them names itself
         tokens = sidecar_corpus(tmp_path / "tokens", 4)
         pooled = sidecar_corpus(tmp_path / "pooled", 0)
         ckpt = tmp_path / "m.ckpt"
@@ -230,13 +248,10 @@ class TestBackboneWidthsFromSidecars:
         assert main(["predict", "--checkpoint", str(ckpt), "--manifest",
                      str(pooled), "--out", str(tmp_path / "p.csv")]
                     + SIDECAR_TRAIN) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith(
-            "error: CheckpointError: registry does not match checkpoint "
-            "layout at entry 0 (name, dim, granularity, token_count): "
-            "checkpoint has ('spatial', 16, 'tokens', 4), registry has "
-            "('spatial', 16, 'keyframe', 0); ")
-        assert "\n" not in err
+        err = capsys.readouterr().err
+        assert err == (f"error: SidecarShapeError: "
+                       f"{tmp_path / 'pooled' / 'v0' / 'spatial.rqvf'}: "
+                       f"granularity keyframe, source expects tokens\n")
 
 
 class TestGmsDump:

@@ -37,6 +37,28 @@ def keyframe_source(name="feat", dim=6, **kw):
     return FeatureSource(name, "keyframe", dim, **kw)
 
 
+class TestFeatureSource:
+    def test_rows_per_granularity(self):
+        rows = [FeatureSource("s", g, 2, token_count=3 * (g == "tokens"))
+                .rows(5) for g in ("keyframe", "tokens", "chunk", "video")]
+        assert rows == [5, 15, 5, 1]
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(dim=6.0), "^feat: dim must be int, got 6.0$"),
+        (dict(dim=True), "^feat: dim must be int, got True$"),
+        (dict(granularity="tokens", token_count=4.0),
+         "^feat: token_count must be int, got 4.0$"),
+        (dict(name=5), "^5: name must be str, got 5$"),
+        (dict(probability="yes"), "^feat: probability must be bool"),
+        (dict(toy="lumastats"), "^unknown toy extractor 'lumastats'$"),
+        (dict(role="quality"), "^unknown role 'quality'$"),
+    ])
+    def test_spec_fields_checked(self, kw, match):
+        with pytest.raises(FeatureError, match=match):
+            FeatureSource(**{"name": "feat", "granularity": "keyframe",
+                             "dim": 6, **kw})
+
+
 class TestSidecarRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -123,6 +145,18 @@ class TestSidecarRoundTrip:
         with pytest.raises(SidecarShapeError):
             save_sidecar(src, np.ones((3, 5), dtype=np.float32),
                          tmp_path / "f.rqvf")
+        # rows that no key-frame count gives: 6 rows of 4-token grids, and
+        # 2 rows of a per-video source
+        tokens = FeatureSource("grid", "tokens", 6, token_count=4)
+        with pytest.raises(SidecarShapeError, match=(
+                r"^grid: 6 rows fit no key-frame count of a tokens source "
+                r"\(token_count 4\)$")):
+            save_sidecar(tokens, np.ones((6, 6)), tmp_path / "g.rqvf")
+        video = FeatureSource("clip", "video", 6)
+        with pytest.raises(SidecarShapeError, match=(
+                r"^clip: 2 rows fit no key-frame count of a video source")):
+            save_sidecar(video, np.ones((2, 6)), tmp_path / "c.rqvf")
+        assert not any(tmp_path.iterdir())
 
 
 # Gray levels whose luma sits on or next to a multiple of 32 (the luma
@@ -362,9 +396,11 @@ class TestAssembleBundle:
         save_sidecar(registry["pixelstats"],
                      np.ones((2, 16), dtype=np.float32),
                      tmp_path / "pixelstats.rqvf")
-        with pytest.raises(FeatureError, match="N_z=3"):
+        with pytest.raises(FeatureError, match=(
+                r"^clip: pixelstats: shape \(2, 16\) != expected \(3, 16\) "
+                r"\(N_z=3\)$")):
             assemble_bundle(video, registry, sidecar_dir=tmp_path,
-                            extraction=EXTRACTION)
+                            video_id="clip", extraction=EXTRACTION)
 
     def test_probability_rows_validated(self, tmp_path, video):
         registry = SourceRegistry([
@@ -373,9 +409,10 @@ class TestAssembleBundle:
         ])
         bad = np.full((2, 4), 0.225, dtype=np.float32)  # rows sum to 0.9
         save_sidecar(registry["probs"], bad, tmp_path / "probs.rqvf")
-        with pytest.raises(FeatureError, match="sum to 1"):
+        with pytest.raises(FeatureError, match=(
+                "^clip: probs: probability rows must sum to 1")):
             assemble_bundle(video, registry, sidecar_dir=tmp_path,
-                            extraction=EXTRACTION)
+                            video_id="clip", extraction=EXTRACTION)
 
     def test_probability_flag_off_accepts_logits(self, tmp_path, video):
         registry = SourceRegistry([
@@ -418,6 +455,21 @@ class TestAssembleBundle:
         bundle = assemble_bundle(None, registry, sidecar_dir=tmp_path,
                                  video_id="x")
         assert bundle.n_keyframes == 5
+
+        # the first per-index sidecar sets N_z; one that disagrees fails
+        both = SourceRegistry([*registry,
+                               FeatureSource("ext_b", "keyframe", 2)])
+        save_sidecar(both["ext_b"], np.zeros((3, 2)), tmp_path / "ext_b.rqvf")
+        with pytest.raises(FeatureError, match=(
+                r"^x: ext_b: shape \(3, 2\) != expected \(5, 2\) "
+                r"\(N_z=5\)$")):
+            assemble_bundle(None, both, sidecar_dir=tmp_path, video_id="x")
+        # per-video sidecars alone do not say how many key frames there are
+        with pytest.raises(FeatureError, match=(
+                "^x: cannot infer key-frame count from video-granularity "
+                "sidecars alone$")):
+            assemble_bundle(None, SourceRegistry([registry["ext_vid"]]),
+                            sidecar_dir=tmp_path, video_id="x")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(FeatureError, match="duplicate"):

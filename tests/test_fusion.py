@@ -1,24 +1,31 @@
+import io
 import json
 import struct
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rqvqa.cli import main
 from rqvqa.errors import CheckpointError, FeatureError, TrainingError
 from rqvqa.features import (
+    GRANULARITIES,
+    ROLE_ORDER,
+    TOY_EXTRACTORS,
     FeatureBundle,
     FeatureSource,
     SourceRegistry,
     backbone_registry,
+    save_sidecar,
 )
 from rqvqa.fusion import (
     CHECKPOINT_VERSION,
     AdamState,
     ConcatLayout,
     FusionHead,
-    LayoutEntry,
     MhsaPool,
     MlpHead,
     TrainConfig,
@@ -128,9 +135,9 @@ class TestMhsaPool:
 
 def toy_layout():
     return ConcatLayout(entries=(
-        LayoutEntry("pixelstats", 16, "keyframe"),
-        LayoutEntry("motionstats", 8, "chunk"),
-        LayoutEntry("fragmentstats", 16, "video"),
+        FeatureSource("pixelstats", "keyframe", 16),
+        FeatureSource("motionstats", "chunk", 8),
+        FeatureSource("fragmentstats", "video", 16),
     ))
 
 
@@ -211,7 +218,7 @@ class TestMlpForward:
 def score_head(offset=20.0):
     """Head over one 1-wide key-frame source that scores a row x as
     relu(x + offset) - offset, i.e. x for x > -offset."""
-    layout = ConcatLayout(entries=(LayoutEntry("x", 1, "keyframe"),))
+    layout = ConcatLayout(entries=(FeatureSource("x", "keyframe", 1),))
     mlp = MlpHead(w1=np.ones((1, 1)), b1=np.full(1, offset), w2=np.ones(1),
                   b2=-offset)
     return FusionHead(layout=layout, mlp=mlp)
@@ -419,8 +426,7 @@ def layout_bundle(layout, n_z, seed, video_id="v"):
     rng = np.random.default_rng(seed)
     matrices = {}
     for e in layout.entries:
-        rows = 1 if e.granularity == "video" else n_z * max(e.token_count, 1)
-        matrices[e.name] = rng.uniform(-1.0, 1.0, size=(rows, e.dim))
+        matrices[e.name] = rng.uniform(-1.0, 1.0, size=(e.rows(n_z), e.dim))
     return FeatureBundle(video_id=video_id, n_keyframes=n_z,
                          matrices=matrices)
 
@@ -861,6 +867,21 @@ class TestAttentionPoolTraining:
             video_forward(token_bundle(), head)
 
 
+# (key, value) mutations of a fuzzed layout spec: values in and out of each
+# key's set, mistyped ones, a dropped key and an added one
+DROP = object()
+MUTATIONS = (
+    [(key, DROP) for key in ("name", "granularity", "dim", "role",
+                             "token_count", "probability", "toy")]
+    + [("extra", 1), ("name", ""), ("name", "other"), ("name", 5)]
+    + [("granularity", g) for g in (*GRANULARITIES, "frame", None)]
+    + [("role", r) for r in (*ROLE_ORDER, "quality")]
+    + [("dim", d) for d in (0, -1, 1, 8, 16, 16.0, 8.0, "16", True)]
+    + [("token_count", t) for t in (0, -1, 1, 4, 4.0, True)]
+    + [("probability", b) for b in (True, False, "yes", 1)]
+    + [("toy", t) for t in (None, *TOY_EXTRACTORS, "lumastats", 0)])
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         samples = affine_dataset(n=12)
@@ -933,13 +954,17 @@ class TestCheckpoint:
             "learning_rate", "batch_size", "epochs", "lr_decay_epoch", "seed",
             "loss", "hidden", "mhsa_heads"}
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_versions_rejected(self, tmp_path, version):
         # a head without attention pool: its tensors are laid out as in
-        # version 3, so only the version number refuses the file
+        # version 4, so only the version number refuses the file
         path = self._saved(tmp_path)
         header, body = self._parts(path)
-        header["mhsa_heads"] = None          # both versions stated it
+        # versions 1 to 3 stored (name, dim, granularity, token_count) lists
+        header["layout"] = [[e["name"], e["dim"], e["granularity"],
+                             e["token_count"]] for e in header["layout"]]
+        if version < 3:
+            header["mhsa_heads"] = None      # versions 1 and 2 stated it
         if version == 1:
             header["activation"] = "relu"
             header["train_config"].update(beta1=0.9, beta2=0.999, eps=1e-8,
@@ -977,10 +1002,93 @@ class TestCheckpoint:
         path = self._saved(tmp_path, tokens=field == "heads")
         header, body = self._parts(path)
         if field == "layout_dim":       # a 41-wide layout, a 40-row w1
-            header["layout"][0][1] += 1
+            header["layout"][0]["dim"] += 1
         elif field == "hidden":
             header["train_config"]["hidden"] = 9
         else:                           # (8, 4, 2) expected, (8, 2, 4) stored
             header["train_config"]["mhsa_heads"] = 4
         with pytest.raises(CheckpointError, match="has shape"):
             load_checkpoint(self._write(path, header, body))
+
+    def test_header_stores_each_source_in_full(self, tmp_path):
+        header, _ = self._parts(self._saved(tmp_path))
+        assert header["layout"] == [
+            asdict(s) for s in toy_training_registry().in_role_order()]
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("dim", 16.0, "dim must be int, got 16.0"),
+        ("dim", True, "dim must be int, got True"),
+        ("token_count", 1, "token_count only valid for tokens"),
+        ("toy", "lumastats", "unknown toy extractor 'lumastats'"),
+        ("granularity", "frame", "unknown granularity 'frame'"),
+        ("width", 16, "unexpected keyword argument 'width'"),
+        ("role", DROP, "a layout entry does not state every field"),
+    ])
+    def test_layout_spec_checked_at_load(self, tmp_path, key, value, match):
+        path = self._saved(tmp_path)
+        header, body = self._parts(path)
+        spec = header["layout"][2]               # fragmentstats, per video
+        if value is DROP:
+            del spec[key]
+        else:
+            spec[key] = value
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(self._write(path, header, body))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(MUTATIONS)),
+                    min_size=1, max_size=2))
+    @example([(3, ("dim", 16.0))])           # a float width, per video
+    @example([(0, ("token_count", 4.0))])    # a float token count
+    def test_fuzzed_layout_specs_fail_cleanly(self, fuzz_corpus, mutations):
+        """A mutated layout either fails to load with CheckpointError, or
+        `rqvqa predict` scores the corpus the file was made for, or it
+        exits 1 with one error line; no other exception escapes."""
+        header, body = self._parts(fuzz_corpus / "m.ckpt")
+        for index, (key, value) in mutations:
+            spec = header["layout"][index]
+            if value is DROP:
+                spec.pop(key, None)
+            else:
+                spec[key] = value
+        path = self._write(fuzz_corpus / "fuzz.ckpt", header, body)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            return
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["predict", "--checkpoint", str(path), "--manifest",
+                         str(fuzz_corpus / "manifest.csv"),
+                         "--out", str(fuzz_corpus / "p.csv")])
+        lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A directory holding m.ckpt, a head over one source of each
+    granularity, and manifest.csv, one sidecar video that it scores."""
+    root = tmp_path_factory.mktemp("fuzz")
+    registry = SourceRegistry([
+        FeatureSource("spatial_tokens", "tokens", 8, role="spatial",
+                      token_count=4),
+        FeatureSource("motionstats", "chunk", 8, role="temporal",
+                      toy="motionstats"),
+        FeatureSource("probs", "keyframe", 3, probability=True),
+        FeatureSource("fragmentstats", "video", 16, role="video_quality",
+                      toy="fragmentstats"),
+    ])
+    cfg = TrainConfig(hidden=4, mhsa_heads=2)
+    head = build_head(ConcatLayout.from_registry(registry), cfg, seed=2)
+    bundle = layout_bundle(head.layout, n_z=2, seed=3)
+    bundle.matrices["probs"] = np.full((2, 3), 0.25)
+    bundle.matrices["probs"][:, 0] = 0.5
+    for source in registry:
+        save_sidecar(source, bundle.matrices[source.name],
+                     root / "v0" / f"{source.name}.rqvf")
+    (root / "manifest.csv").write_text(
+        f"video_id,path,mos,scene_id\nv0,{root / 'v0'},3.0,s0\n")
+    save_checkpoint(root / "m.ckpt", head, cfg)
+    return root

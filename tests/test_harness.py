@@ -9,7 +9,13 @@ from rqvqa import config, harness
 from rqvqa.cli import main
 from rqvqa.config import load_config
 from rqvqa.errors import CheckpointError, ManifestError
-from rqvqa.features import ExtractionConfig, save_sidecar, toy_registry
+from rqvqa.features import (
+    ExtractionConfig,
+    FeatureSource,
+    SourceRegistry,
+    save_sidecar,
+    toy_registry,
+)
 from rqvqa.fusion import ConcatLayout, TrainConfig, train, video_forward
 from rqvqa.harness import (
     DatasetManifest,
@@ -351,6 +357,29 @@ class TestPredict:
         ])
         with pytest.raises(CheckpointError, match="expected"):
             predict_scores(result.head, manifest, smaller, EXTRACTION)
+
+
+    def test_layout_mismatch_names_the_first_differing_entry(self):
+        # a library caller may pass any registry; the head's layout decides
+        head = build_head(ConcatLayout.from_registry(token_registry()),
+                          TrainConfig(hidden=4, mhsa_heads=2))
+        pooled = SourceRegistry([
+            FeatureSource("spatial_tokens", "keyframe", 8, role="spatial"),
+            token_registry()["motionstats"]])
+        with pytest.raises(CheckpointError) as info:
+            predict_scores(head, DatasetManifest([]), pooled, EXTRACTION)
+        checkpoint = ("('spatial_tokens', 'tokens', 8, 'spatial', 4, False, "
+                      "None)")
+        registry = ("('spatial_tokens', 'keyframe', 8, 'spatial', 0, False, "
+                    "None)")
+        motion = "('motionstats', 'chunk', 8, 'temporal', 0, False, " \
+            "'motionstats')"
+        assert str(info.value) == (
+            f"registry does not match checkpoint layout at entry 0 (name, "
+            f"granularity, dim, role, token_count, probability, toy): "
+            f"checkpoint has {checkpoint}, registry has {registry}; "
+            f"expected [{checkpoint}, {motion}], found [{registry}, "
+            f"{motion}]")
 
 
 class TestConfig:

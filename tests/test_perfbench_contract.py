@@ -50,6 +50,15 @@ def test_toy_corpus_protocol_is_the_desk_config():
     assert toy.split_ratio == desk.split.ratio
 
 
+def test_every_workload_states_its_sizes():
+    # Pipeline.sizes reads ConcatLayout.from_registry(...).total_dim, which
+    # no pass runs
+    workloads = load_perfbench("workloads").make_workloads()
+    fused = {name: w.sizes().get("fused_dim") for name, w in workloads.items()}
+    assert fused == {"toy-corpus": 40, "backbone-vectors": 6639,
+                     "backbone-tokens": 6639, "eval-csv": None}
+
+
 def test_every_target_resolves(spans):
     for name, module, attr, _ in spans.TARGETS:
         assert callable(getattr(module, attr)), (name, module.__name__, attr)
