@@ -9,7 +9,6 @@ machine-parsable line on stderr: `error: <kind>: <message>`.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .features import (
 )
 from .fusion import load_checkpoint, save_checkpoint, train
 from .harness import (
+    csv_reader,
     ensemble_predict,
     load_bundles,
     load_manifest,
@@ -158,8 +158,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     pred, mos = [], []
     first = True
-    with open(args.pred, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(args.pred) as reader:
         for row in reader:
             if not row:
                 continue
@@ -307,16 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every character str.splitlines breaks at, escaped, so that a message
+# quoting a file's contents stays one line
+_LINE_BREAKS = {c: repr(chr(c))[1:-1] for c in (
+    0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RqvqaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (RqvqaError, OSError) as exc:
+        message = str(exc).translate(_LINE_BREAKS)
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .features import ExtractionConfig
-from .fusion import TrainConfig
+from .fusion import LOSSES, TrainConfig
 from .harness import COMBINERS, GROUPINGS
 from .preproc import CROP_MODES
 
@@ -78,7 +78,7 @@ _KEYS = {
     "train.batch_size": ("train", "batch_size", int),
     "train.epochs": ("train", "epochs", int),
     "train.lr_decay_epoch": ("train", "lr_decay_epoch", int),
-    "train.loss": ("train", "loss", str),
+    "train.loss": ("train", "loss", _one_of(tuple(LOSSES))),
     "train.hidden": ("train", "hidden", int),
     "train.mhsa_heads": ("train", "mhsa_heads", int),
     "gms.grid_count": ("extraction", "gms_grid_count", int),
@@ -122,7 +122,11 @@ def load_config(path: str | Path | None = None,
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file {path} not found")
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -273,7 +273,11 @@ def load_sidecar(path: str | Path,
     offset = 8
     if len(data) < offset + name_len + 13:
         raise SidecarTruncatedError(f"{path}: truncated header")
-    name = data[offset:offset + name_len].decode("utf-8")
+    try:
+        name = data[offset:offset + name_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SidecarNameError(
+            f"{path}: source name is not UTF-8 ({exc.reason})") from None
     offset += name_len
     gran_code, count, token_count, dim = struct.unpack_from("<BIII", data, offset)
     offset += 13

@@ -11,7 +11,9 @@ to every key-frame index.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -30,7 +32,7 @@ ADAM_EPS = 1e-8
 LR_DECAY_FACTOR = 10.0
 
 CHECKPOINT_MAGIC = b"RQVC"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ class TrainConfig:
     epochs: int = 30
     lr_decay_epoch: int = 10
     seed: int = 0
-    loss: str = "plcc"        # or "mse"
+    loss: str = "plcc"        # a key of LOSSES
     hidden: int = 128
     mhsa_heads: int = 8
 
@@ -131,7 +133,7 @@ class TrainConfig:
                 "batch_size must be >= 2 for the correlation loss")
         if self.lr_decay_epoch > self.epochs:
             raise TrainingError("lr_decay_epoch must be <= epochs")
-        if self.loss not in ("plcc", "mse"):
+        if self.loss not in LOSSES:
             raise TrainingError(f"unknown loss {self.loss!r}")
 
 
@@ -330,8 +332,8 @@ def mse_loss_grad(pred, target) -> np.ndarray:
     return 2.0 * (p - t) / p.size
 
 
-_LOSSES = {"plcc": (plcc_loss, plcc_loss_grad),
-           "mse": (mse_loss, mse_loss_grad)}
+LOSSES = {"plcc": (plcc_loss, plcc_loss_grad),
+          "mse": (mse_loss, mse_loss_grad)}
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
     `train` reuses one across steps, which saves allocating and
     page-faulting a parameter-sized dict per step.
     """
-    loss_fn, loss_grad_fn = _LOSSES[loss]
+    loss_fn, loss_grad_fn = LOSSES[loss]
     layout, mlp = head.layout, head.mlp
     preds, (counts, feats, z, a, mhsa_cache) = _forward(
         [bundle for bundle, _ in batch], head)
@@ -572,54 +574,59 @@ def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
 
 def save_checkpoint(path: str | Path, head: FusionHead, cfg: TrainConfig,
                     master_seed: int = 0) -> Path:
-    """Binary container: full source specs, f64 tensors, config echo, seed."""
-    params = params_from_head(head)
-    names = sorted(params)
-    header = {
+    """Version 5: the JSON header (full source specs, config echo, seed), the
+    bare f64 tensors of param_shapes in name order, then a CRC32 of every
+    byte after the magic. The header fixes each tensor's shape, so the head
+    must match it."""
+    shapes = param_shapes(head.layout, cfg.hidden, cfg.mhsa_heads)
+    tensors = {name: np.ascontiguousarray(tensor, dtype="<f8")
+               for name, tensor in params_from_head(head).items()}
+    if {name: t.shape for name, t in tensors.items()} != shapes:
+        raise CheckpointError(
+            f"{path}: head tensors do not match the layout, "
+            f"hidden={cfg.hidden} and mhsa_heads={cfg.mhsa_heads}")
+    header = json.dumps({
         "layout": [asdict(source) for source in head.layout.entries],
         "train_config": asdict(cfg),
         "seed": master_seed,
-        "tensors": names,
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<HI", CHECKPOINT_VERSION, len(blob))
-    out += blob
-    for name in names:
-        tensor = np.ascontiguousarray(params[name], dtype="<f8")
-        out += struct.pack("<B", tensor.ndim)
-        for dim in tensor.shape:
-            out += struct.pack("<I", dim)
-        out += tensor.tobytes()
+    }, sort_keys=True, separators=(",", ":")).encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(bytes(out))
+    crc = 0
+    with path.open("wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        for part in (struct.pack("<HI", CHECKPOINT_VERSION, len(header)),
+                     header, *(tensors[name] for name in sorted(tensors))):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
     return path
 
 
-_CHECKPOINT_KEYS = ("layout", "seed", "tensors", "train_config")
+_CHECKPOINT_KEYS = ("layout", "seed", "train_config")
 
 
 def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint; returns (head, cfg, master_seed).
 
-    Each layout entry must be a full source spec, and every tensor shape is
-    checked against the layout, hidden width and attention head count before
-    it is read; the file must end with the last tensor.
+    The checksum is checked before the header is read. Each layout entry must
+    be a full source spec, and the tensor bytes must be exactly those of the
+    shapes that the layout, hidden width and attention head count fix.
     """
     data = Path(path).read_bytes()
-    if len(data) < 10 or data[:4] != CHECKPOINT_MAGIC:
+    if len(data) < 14 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack_from("<HI", data, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    offset = 10
+    view = memoryview(data)          # its slices copy no bytes
+    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(view[4:-4]) != crc:
+        raise CheckpointError(f"{path}: checksum mismatch")
     try:
-        header = json.loads(data[offset:offset + header_len])
+        header = json.loads(data[10:10 + header_len])
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
-    offset += header_len
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not an object")
     missing = [key for key in _CHECKPOINT_KEYS if key not in header]
@@ -635,36 +642,15 @@ def load_checkpoint(path: str | Path):
         shapes = param_shapes(layout, cfg.hidden, cfg.mhsa_heads)
     except (TypeError, ValueError, FeatureError, TrainingError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
-    if header["tensors"] != sorted(shapes):
-        raise CheckpointError(
-            f"{path}: tensors {header['tensors']} do not match the layout "
-            f"({sorted(shapes)})")
 
-    tensors = {}
-    for name in header["tensors"]:
-        if offset + 1 > len(data):
-            raise CheckpointError(f"{path}: truncated at tensor {name!r}")
-        (ndim,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        if offset + 4 * ndim > len(data):
-            raise CheckpointError(f"{path}: truncated shape of {name!r}")
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        if shape != shapes[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {shape}, expected "
-                f"{shapes[name]} from the layout, hidden={cfg.hidden} and "
-                f"mhsa_heads={cfg.mhsa_heads}")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
-        if offset + n_bytes > len(data):
-            raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        tensors[name] = np.frombuffer(
-            data[offset:offset + n_bytes], dtype="<f8").reshape(shape).copy()
-        offset += n_bytes
-    if offset != len(data):
+    body = view[10 + header_len:-4]
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[name]) for name in names]
+    if len(body) != 8 * sum(sizes):
         raise CheckpointError(
-            f"{path}: {len(data) - offset} trailing bytes after the last "
-            f"tensor")
-
-    head = _head_from_params(layout, tensors)
-    return head, cfg, header["seed"]
+            f"{path}: {len(body)} tensor bytes, expected {8 * sum(sizes)} for "
+            f"the layout, hidden={cfg.hidden} and mhsa_heads={cfg.mhsa_heads}")
+    flat = np.frombuffer(body, dtype="<f8").copy()
+    tensors = {name: part.reshape(shapes[name]) for name, part in
+               zip(names, np.split(flat, np.cumsum(sizes)[:-1]))}
+    return _head_from_params(layout, tensors), cfg, header["seed"]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -71,12 +72,25 @@ class DatasetManifest:
         return len(self.records)
 
 
+@contextmanager
+def csv_reader(path: str | Path):
+    """A csv reader over the UTF-8 text at path. Bytes that do not decode,
+    and a field over csv's size limit, fail as one ManifestError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not UTF-8 ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest {path} not found")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise ManifestError(

@@ -75,8 +75,13 @@ def load_raw_video(directory: str | Path) -> VideoFrames:
     if not meta_path.is_file():
         raise VideoFormatError(f"{meta_path} missing")
 
+    try:
+        text = meta_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise VideoFormatError(
+            f"{meta_path}: not UTF-8 ({exc.reason})") from None
     meta: dict[str, int] = {}
-    for lineno, line in enumerate(meta_path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -99,6 +104,15 @@ def load_raw_video(directory: str | Path) -> VideoFrames:
         raise VideoFormatError(f"{meta_path}: non-positive metadata {meta}")
 
     frame_bytes = h * w * 3
+    # the last frame is looked up before n frames are allocated, so a
+    # meta.txt alone cannot reserve memory for a video that is not there
+    last = directory / FRAME_PATTERN.format(n - 1)
+    if not last.is_file():
+        raise VideoFormatError(f"frame {n - 1} missing ({last})")
+    if last.stat().st_size != frame_bytes:
+        raise VideoFormatError(
+            f"frame {n - 1} has {last.stat().st_size} bytes, expected "
+            f"{frame_bytes} ({last})")
     frames = np.empty((n, h, w, 3), dtype=np.uint8)
     for i in range(n):
         path = directory / FRAME_PATTERN.format(i)
@@ -107,8 +121,8 @@ def load_raw_video(directory: str | Path) -> VideoFrames:
         data = path.read_bytes()
         if len(data) != frame_bytes:
             raise VideoFormatError(
-                f"frame {i} has {len(data)} bytes, expected {frame_bytes}"
-            )
+                f"frame {i} has {len(data)} bytes, expected {frame_bytes} "
+                f"({path})")
         frames[i] = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
     return VideoFrames(frames=frames, frame_rate=fps)
 

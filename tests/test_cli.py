@@ -429,6 +429,18 @@ class TestErrors:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ")
         assert "\n" not in err
+        header = b"video_id,path,mos,scene_id\n"
+        for name, row, message in (
+                ("latin1.csv", b"v\xe9,v,1.0,s\n",
+                 " not UTF-8 (invalid continuation byte)"),
+                ("long_field.csv", b"v," + b"p" * 131073 + b",1.0,s\n",
+                 "2: field larger than field limit (131072)")):
+            path = workspace / name
+            path.write_bytes(header + row)
+            assert main(["train", "--manifest", str(path),
+                         "--out", str(workspace / "x.ckpt")]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: ManifestError: {path}:{message}\n"
 
     def test_bad_config_key(self, workspace, capsys):
         code = main(["train", "--manifest",
@@ -437,6 +449,16 @@ class TestErrors:
                      "--set", "bogus.key=1"])
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
+        latin1 = workspace / "latin1.cfg"
+        latin1.write_bytes(b"# caf\xe9\nseed = 1\n")
+        code = main(["train", "--manifest",
+                     str(workspace / "corpus" / "manifest.csv"),
+                     "--out", str(workspace / "x.ckpt"),
+                     "--config", str(latin1)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {latin1}: not UTF-8 (invalid continuation "
+            f"byte)\n")
 
     @pytest.mark.parametrize("key", [
         "train.activation", "train.beta1", "train.beta2", "train.eps",
@@ -465,6 +487,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command,key,choices", [
         ("train", "registry", "toy, backbone"),
+        ("train", "train.loss", "plcc, mse"),
         ("train", "split.grouping", "by-scene, by-video"),
         ("train", "preproc.crop_mode", "center, random"),
         ("ensemble", "ensemble.combiner", "mean, median"),
@@ -516,9 +539,7 @@ class TestErrors:
                      "--out", str(workspace / "never.csv")] + args)
         assert code == 1
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error: CheckpointError: ")
-        assert "trailing bytes" in err
-        assert "\n" not in err
+        assert err == f"error: CheckpointError: {bad}: checksum mismatch"
 
         old = workspace / "v1.ckpt"
         data = bytearray((workspace / "t.ckpt").read_bytes())
@@ -545,12 +566,17 @@ class TestErrors:
         assert err.startswith("error: ManifestError: ")
         assert f"{bad}:6: non-numeric row" in err
         assert "\n" not in err
-        for name, row in (("short_row", "0.4"), ("long_row", "0.4,4,9")):
+        for name, row, message in (
+                ("short_row", "0.4", "6: expected 2 columns"),
+                ("long_row", "0.4,4,9", "6: expected 2 columns"),
+                ("long_field", "0." + "4" * 131073 + ",4",
+                 "6: field larger than field limit (131072)"),
+                ("latin1", "0.4,4\xe9", " not UTF-8 (invalid continuation "
+                 "byte)")):
             rows[4] = row
             path = workspace / f"{name}.csv"
-            path.write_text("prediction,mos\n" + "\n".join(rows) + "\n")
+            path.write_bytes(("prediction,mos\n" + "\n".join(rows)
+                              + "\n").encode("latin-1"))
             assert main(["eval", "--pred", str(path)]) == 1
-            err = capsys.readouterr().err.strip()
-            assert err.startswith("error: ManifestError: ")
-            assert f"{path}:6: expected 2 columns" in err
-            assert "\n" not in err
+            err = capsys.readouterr().err
+            assert err == f"error: ManifestError: {path}:{message}\n"

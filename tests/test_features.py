@@ -122,6 +122,17 @@ class TestSidecarRoundTrip:
         with pytest.raises(SidecarNameError, match="'alpha'"):
             load_sidecar(path, expect=beta)
 
+    def test_name_not_utf8_rejected(self, tmp_path):
+        path = save_sidecar(FeatureSource("alpha", "keyframe", 6),
+                            np.ones((3, 6), dtype=np.float32),
+                            tmp_path / "f.rqvf")
+        data = bytearray(path.read_bytes())
+        data[10] = 0xFF                        # the 'p' of "alpha"
+        path.write_bytes(bytes(data))
+        with pytest.raises(SidecarNameError, match=(
+                f"{path}: source name is not UTF-8 \\(invalid start byte")):
+            load_sidecar(path)
+
     def test_dim_mismatch_against_declared_source(self, tmp_path):
         src = keyframe_source(dim=6)
         path = save_sidecar(src, np.ones((3, 6), dtype=np.float32),

@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 
@@ -916,13 +917,16 @@ class TestCheckpoint:
         """(header dict, tensor bytes) of a checkpoint file."""
         data = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", data, 6)
-        return json.loads(data[10:10 + header_len]), data[10 + header_len:]
+        return json.loads(data[10:10 + header_len]), data[10 + header_len:-4]
 
-    def _write(self, path, header, body):
+    def _write(self, path, header, body, crc=None):
+        """A version-5 file of header and body, signed with its own CRC32
+        unless crc gives the 4 bytes to end it with."""
         blob = json.dumps(header).encode()
-        path.write_bytes(b"RQVC"
-                         + struct.pack("<HI", CHECKPOINT_VERSION, len(blob))
-                         + blob + body)
+        signed = struct.pack("<HI", CHECKPOINT_VERSION, len(blob)) + blob + body
+        if crc is None:
+            crc = struct.pack("<I", zlib.crc32(signed))
+        path.write_bytes(b"RQVC" + signed + crc)
         return path
 
     def _saved(self, tmp_path, tokens=False):
@@ -934,6 +938,40 @@ class TestCheckpoint:
                           lr_decay_epoch=1, hidden=8, mhsa_heads=2, seed=9)
         result = train(samples, registry, cfg)
         return save_checkpoint(tmp_path / "m.ckpt", result.head, cfg, 1)
+
+    def test_file_is_header_bare_tensors_and_crc(self, tmp_path):
+        layout = ConcatLayout.from_registry(token_registry())
+        cfg = TrainConfig(hidden=8, mhsa_heads=2)
+        head = build_head(layout, cfg, seed=4)
+        path = save_checkpoint(tmp_path / "m.ckpt", head, cfg, 1)
+        header = json.dumps({
+            "layout": [asdict(e) for e in layout.entries],
+            "seed": 1, "train_config": asdict(cfg)},
+            sort_keys=True, separators=(",", ":")).encode()
+        params = params_from_head(head)
+        assert sorted(params) == ["b1", "b2", "w1", "w2", "wk", "wo", "wq",
+                                  "wv"]
+        signed = (struct.pack("<HI", 5, len(header)) + header
+                  + b"".join(np.asarray(params[name], dtype="<f8").tobytes()
+                             for name in sorted(params)))
+        assert path.read_bytes() == (b"RQVC" + signed
+                                     + struct.pack("<I", zlib.crc32(signed)))
+        assert set(self._parts(path)[0]) == {"layout", "seed", "train_config"}
+
+    @pytest.mark.parametrize("tensor", ["w2", "wq"])
+    def test_flipped_tensor_bit_rejected(self, tmp_path, tensor):
+        path = self._saved(tmp_path, tokens=True)
+        _, body = self._parts(path)
+        shapes = param_shapes(load_checkpoint(path)[0].layout, 8, 2)
+        data = bytearray(path.read_bytes())
+        offset = len(data) - 4 - len(body)
+        for name in sorted(shapes)[:sorted(shapes).index(tensor)]:
+            offset += 8 * int(np.prod(shapes[name]))
+        data[offset + 3] ^= 0x10            # a mantissa bit of element 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=f"{path}: checksum mismatch"):
+            load_checkpoint(path)
 
     def test_missing_header_key_rejected(self, tmp_path):
         path = self._saved(tmp_path)
@@ -954,15 +992,24 @@ class TestCheckpoint:
             "learning_rate", "batch_size", "epochs", "lr_decay_epoch", "seed",
             "loss", "hidden", "mhsa_heads"}
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_versions_rejected(self, tmp_path, version):
-        # a head without attention pool: its tensors are laid out as in
-        # version 4, so only the version number refuses the file
+        # a head without attention pool, written as its version wrote it:
+        # the tensor names in the header, a rank and dims before each
+        # tensor, and no checksum; only the version number refuses the file
         path = self._saved(tmp_path)
-        header, body = self._parts(path)
-        # versions 1 to 3 stored (name, dim, granularity, token_count) lists
-        header["layout"] = [[e["name"], e["dim"], e["granularity"],
-                             e["token_count"]] for e in header["layout"]]
+        header, _ = self._parts(path)
+        params = params_from_head(load_checkpoint(path)[0])
+        header["tensors"] = sorted(params)
+        body = b""
+        for name in sorted(params):
+            tensor = np.ascontiguousarray(params[name], dtype="<f8")
+            body += struct.pack(f"<B{tensor.ndim}I", tensor.ndim,
+                                *tensor.shape) + tensor.tobytes()
+        if version < 4:
+            # versions 1 to 3 stored (name, dim, granularity, token_count)
+            header["layout"] = [[e["name"], e["dim"], e["granularity"],
+                                 e["token_count"]] for e in header["layout"]]
         if version < 3:
             header["mhsa_heads"] = None      # versions 1 and 2 stated it
         if version == 1:
@@ -977,24 +1024,31 @@ class TestCheckpoint:
                            match=f"unsupported version {version}"):
             load_checkpoint(path)
 
-    def test_truncated_shape_record_rejected(self, tmp_path):
+    def test_truncated_file_rejected(self, tmp_path):
         path = self._saved(tmp_path)
-        header, body = self._parts(path)
-        # first tensor is b1: ndim byte, then a 4-byte dim cut to 2 bytes
-        with pytest.raises(CheckpointError, match="truncated shape"):
-            load_checkpoint(self._write(path, header, body[:3]))
+        data = path.read_bytes()
+        for cut in (1, 4, 9):           # into the CRC, all of it, into w2
+            path.write_bytes(data[:-cut])
+            with pytest.raises(CheckpointError, match="checksum mismatch"):
+                load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(path)
 
     def test_tensor_set_must_match_layout(self, tmp_path):
+        # a re-signed layout that gains a token source implies the wq, wk,
+        # wv and wo tensors and 8 more w1 rows, which the file does not hold
         path = self._saved(tmp_path)
         header, body = self._parts(path)
-        header["tensors"] = header["tensors"] + ["wo"]
-        with pytest.raises(CheckpointError, match="do not match the layout"):
+        header["layout"].insert(0, asdict(FeatureSource(
+            "spatial_tokens", "tokens", 8, role="spatial", token_count=4)))
+        expected = len(body) + 8 * (4 * 8 * 8 + 8 * 8)
+        with pytest.raises(CheckpointError, match=(
+                f"{len(body)} tensor bytes, expected {expected} for the "
+                f"layout, hidden=8 and mhsa_heads=2")):
             load_checkpoint(self._write(path, header, body))
 
     @pytest.mark.parametrize("field", ["layout_dim", "hidden", "heads"])
@@ -1003,12 +1057,35 @@ class TestCheckpoint:
         header, body = self._parts(path)
         if field == "layout_dim":       # a 41-wide layout, a 40-row w1
             header["layout"][0]["dim"] += 1
-        elif field == "hidden":
+            expected, hidden = len(body) + 8 * 8, 8
+        elif field == "hidden":         # w1, b1 and w2 one column short
             header["train_config"]["hidden"] = 9
-        else:                           # (8, 4, 2) expected, (8, 2, 4) stored
+            expected, hidden = len(body) + 8 * (40 + 2), 9
+        else:
+            # (8, 4, 2) expected, (8, 2, 4) stored: the byte count is the
+            # same, so only the checksum over the header refuses the edit
             header["train_config"]["mhsa_heads"] = 4
-        with pytest.raises(CheckpointError, match="has shape"):
+            crc = path.read_bytes()[-4:]
+            with pytest.raises(CheckpointError, match="checksum mismatch"):
+                load_checkpoint(self._write(path, header, body, crc=crc))
+            return
+        with pytest.raises(CheckpointError, match=(
+                f"{len(body)} tensor bytes, expected {expected} for the "
+                f"layout, hidden={hidden} and mhsa_heads=2")):
             load_checkpoint(self._write(path, header, body))
+
+    def test_save_rejects_a_head_the_config_does_not_describe(self,
+                                                              tmp_path):
+        # the file states no tensor shape, so a head saved with another
+        # head count would load reshaped; the save refuses it instead
+        layout = ConcatLayout.from_registry(token_registry())
+        head = build_head(layout, TrainConfig(hidden=8, mhsa_heads=2))
+        cfg = TrainConfig(hidden=8, mhsa_heads=4)
+        with pytest.raises(CheckpointError, match=(
+                "head tensors do not match the layout, hidden=8 and "
+                "mhsa_heads=4")):
+            save_checkpoint(tmp_path / "m.ckpt", head, cfg)
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_header_stores_each_source_in_full(self, tmp_path):
         header, _ = self._parts(self._saved(tmp_path))

@@ -48,6 +48,29 @@ class TestRawVideoIO:
         with pytest.raises(VideoFormatError, match="frame 2"):
             load_raw_video(tmp_path / "v")
 
+    def test_meta_not_utf8_rejected(self, tmp_path, video):
+        save_raw_video(video, tmp_path / "v")
+        meta = tmp_path / "v" / "meta.txt"
+        meta.write_bytes(meta.read_bytes().replace(b"fps", b"f\xe9s"))
+        with pytest.raises(VideoFormatError, match=(
+                "meta.txt: not UTF-8 \\(invalid continuation byte\\)")):
+            load_raw_video(tmp_path / "v")
+
+    def test_declared_frames_found_before_allocation(self, tmp_path):
+        # 46.9 GiB of frames declared, none present: the missing last frame
+        # fails the load before any frame buffer is allocated
+        (tmp_path / "meta.txt").write_text(
+            "width=4096\nheight=4096\nfps=1\nframes=1000\n")
+        with pytest.raises(VideoFormatError, match=(
+                "frame 999 missing .*frame_000999.rgb")):
+            load_raw_video(tmp_path)
+        save_raw_video(make_video(n_frames=4, fps=4), tmp_path)
+        (tmp_path / "meta.txt").write_text(
+            "width=4096\nheight=16\nfps=4\nframes=4\n")
+        with pytest.raises(VideoFormatError, match=(
+                "frame 3 has 768 bytes, expected 196608 .*frame_000003.rgb")):
+            load_raw_video(tmp_path)
+
     def test_metadata_inconsistency(self, tmp_path, video):
         save_raw_video(video, tmp_path / "v")
         meta = tmp_path / "v" / "meta.txt"
