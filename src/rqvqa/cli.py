@@ -18,7 +18,6 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
 from .features import (
-    SourceRegistry,
     backbone_registry_from_sidecars,
     fragment_volume,
     save_sidecar,
@@ -149,7 +148,7 @@ def cmd_predict(args) -> int:
     cfg = _config(args)
     head, _, _ = load_checkpoint(args.checkpoint)
     rows = predict_scores(head, load_manifest(args.manifest),
-                          SourceRegistry(head.layout.entries), cfg.extraction)
+                          head.layout.entries, cfg.extraction)
     write_predictions(rows, args.out)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0

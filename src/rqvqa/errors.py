@@ -27,11 +27,11 @@ class SidecarVersionError(SidecarError):
 
 
 class SidecarTruncatedError(SidecarError):
-    """Sidecar ends before the declared payload (or checksum) is complete."""
+    """Sidecar length disagrees with the header: short, or bytes after it."""
 
 
 class SidecarShapeError(SidecarError):
-    """Header count/dim/granularity disagrees with the declared source."""
+    """Header states no valid source, or disagrees with the declared one."""
 
 
 class SidecarChecksumError(SidecarError):

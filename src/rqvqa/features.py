@@ -9,12 +9,13 @@ A feature source is a named producer at one of four granularities:
 
 Precomputed backbone outputs arrive through RQVF sidecar files; three built-in
 toy extractors provide deterministic desk-scale stand-ins. Sidecar values take
-precedence over toys for same-named sources.
+precedence over toys for same-named sources. A registry is a plain tuple of
+sources; fusion.ConcatLayout.from_registry orders it and checks its names.
 
 RQVF sidecar layout (little-endian):
     magic 'RQVF' | version u16 | name_len u16 | name utf-8 | granularity u8
     | count u32 | token_count u32 | dim u32
-    | count * max(token_count, 1) * dim float32 values
+    | rows(count) * dim float32 values (FeatureSource.rows)
     | crc32(payload) u32
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,46 +108,21 @@ class FeatureSource:
         return n_keyframes * max(self.token_count, 1)
 
 
-class SourceRegistry:
-    """Immutable name-keyed collection of feature sources."""
-
-    def __init__(self, sources):
-        self._by_name: dict[str, FeatureSource] = {}
-        for src in sources:
-            if src.name in self._by_name:
-                raise FeatureError(f"duplicate source name {src.name!r}")
-            self._by_name[src.name] = src
-
-    def __iter__(self):
-        return iter(self._by_name.values())
-
-    def __len__(self):
-        return len(self._by_name)
-
-    def __getitem__(self, name) -> FeatureSource:
-        if name not in self._by_name:
-            raise FeatureError(f"unknown source {name!r}")
-        return self._by_name[name]
-
-    def in_role_order(self) -> list[FeatureSource]:
-        return sorted(self, key=lambda s: (ROLE_ORDER.index(s.role), s.name))
-
-
-def toy_registry() -> SourceRegistry:
+def toy_registry() -> tuple[FeatureSource, ...]:
     """The three deterministic stand-in extractors."""
-    return SourceRegistry([
+    return (
         FeatureSource("pixelstats", "keyframe", PIXELSTATS_DIM,
                       role="spatial", toy="pixelstats"),
         FeatureSource("motionstats", "chunk", MOTIONSTATS_DIM,
                       role="temporal", toy="motionstats"),
         FeatureSource("fragmentstats", "video", PIXELSTATS_DIM,
                       role="video_quality", toy="fragmentstats"),
-    ])
+    )
 
 
 def backbone_registry(spatial_dim: int = 1024, temporal_dim: int = 256,
                       lmm_dim: int = 4096, spatiotemporal_dim: int = 768,
-                      spatial_tokens: int = 0) -> SourceRegistry:
+                      spatial_tokens: int = 0) -> tuple[FeatureSource, ...]:
     """Sidecar-fed registry shaped like the full-scale pipeline.
 
     The probability source width is fixed by its label space.
@@ -158,7 +135,7 @@ def backbone_registry(spatial_dim: int = 1024, temporal_dim: int = 256,
     else:
         spatial = FeatureSource("spatial", "keyframe", spatial_dim,
                                 role="spatial")
-    return SourceRegistry([
+    return (
         spatial,
         FeatureSource("temporal", "chunk", temporal_dim, role="temporal"),
         FeatureSource("frame_quality_probs", "keyframe",
@@ -168,10 +145,11 @@ def backbone_registry(spatial_dim: int = 1024, temporal_dim: int = 256,
                       role="frame_quality"),
         FeatureSource("spatiotemporal", "video", spatiotemporal_dim,
                       role="video_quality"),
-    ])
+    )
 
 
-def backbone_registry_from_sidecars(directory: str | Path) -> SourceRegistry:
+def backbone_registry_from_sidecars(
+        directory: str | Path) -> tuple[FeatureSource, ...]:
     """backbone_registry at the widths and spatial token count (0: pooled
     rows) of one video's sidecar headers; every video is checked on load."""
     paths = [Path(directory) / f"{name}.rqvf" for name in
@@ -197,7 +175,7 @@ class FeatureBundle:
     def rows_expected(self, source: FeatureSource) -> int:
         return source.rows(self.n_keyframes)
 
-    def validate(self, registry: SourceRegistry) -> None:
+    def validate(self, registry: Sequence[FeatureSource]) -> None:
         missing = [s.name for s in registry if s.name not in self.matrices]
         if missing:
             raise FeatureError(f"missing sources: {', '.join(sorted(missing))}")
@@ -258,9 +236,10 @@ def load_sidecar(path: str | Path,
                  expect: FeatureSource | None = None):
     """Read an RQVF file; returns (name, granularity, token_count, matrix).
 
-    The matrix is float32 exactly as stored. When `expect` is given, the
-    header's name, dim, granularity and token count must agree with the
-    declared source.
+    The header must state a valid source, and the file must be exactly as
+    long as that header declares. The matrix is float32 exactly as stored.
+    When `expect` is given, the header's name, dim, granularity and token
+    count must agree with the declared source.
     """
     data = Path(path).read_bytes()
     if len(data) < 8:
@@ -283,14 +262,23 @@ def load_sidecar(path: str | Path,
     offset += 13
     if gran_code >= len(GRANULARITIES):
         raise SidecarShapeError(f"{path}: unknown granularity code {gran_code}")
-    granularity = GRANULARITIES[gran_code]
+    try:
+        stored = FeatureSource(name, GRANULARITIES[gran_code], dim,
+                               token_count=token_count)
+    except FeatureError as exc:
+        raise SidecarShapeError(f"{path}: {exc}") from None
+    if stored.granularity == "video" and count != 1:
+        raise SidecarShapeError(f"{path}: video source with count {count}")
 
-    rows = count * max(token_count, 1)
-    payload_bytes = rows * dim * 4
-    if len(data) < offset + payload_bytes + 4:
+    rows = stored.rows(count)
+    end = offset + rows * dim * 4
+    if len(data) < end + 4:
         raise SidecarTruncatedError(f"{path}: truncated payload")
-    payload = data[offset:offset + payload_bytes]
-    (crc,) = struct.unpack_from("<I", data, offset + payload_bytes)
+    if len(data) > end + 4:
+        raise SidecarTruncatedError(
+            f"{path}: {len(data) - end - 4} bytes after the checksum")
+    payload = data[offset:end]
+    (crc,) = struct.unpack_from("<I", data, end)
     if crc != zlib.crc32(payload):
         raise SidecarChecksumError(f"{path}: payload checksum mismatch")
     matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
@@ -299,18 +287,12 @@ def load_sidecar(path: str | Path,
         if name != expect.name:
             raise SidecarNameError(
                 f"{path}: holds source {name!r}, expected {expect.name!r}")
-        if dim != expect.dim:
-            raise SidecarShapeError(
-                f"{path}: dim mismatch (file {dim}, source {expect.dim})")
-        if granularity != expect.granularity:
-            raise SidecarShapeError(
-                f"{path}: granularity {granularity}, source expects "
-                f"{expect.granularity}")
-        if token_count != expect.token_count:
-            raise SidecarShapeError(
-                f"{path}: token_count mismatch (file {token_count}, "
-                f"source {expect.token_count})")
-    return name, granularity, token_count, matrix
+        for key in ("dim", "granularity", "token_count"):
+            found, wanted = getattr(stored, key), getattr(expect, key)
+            if found != wanted:
+                raise SidecarShapeError(
+                    f"{path}: {key} mismatch (file {found}, source {wanted})")
+    return name, stored.granularity, token_count, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +408,8 @@ def _toy_matrix(toy: str, video: VideoFrames,
     return toy_fragmentstats(fragment_volume(video, extraction))[None, :]
 
 
-def assemble_bundle(video: VideoFrames | None, registry: SourceRegistry,
+def assemble_bundle(video: VideoFrames | None,
+                    registry: Sequence[FeatureSource],
                     sidecar_dir: str | Path | None = None,
                     video_id: str = "video",
                     extraction: ExtractionConfig = ExtractionConfig(),

@@ -14,13 +14,14 @@ import json
 import math
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, FeatureError, TrainingError
-from .features import FeatureBundle, FeatureSource, SourceRegistry
+from .features import ROLE_ORDER, FeatureBundle, FeatureSource
 
 EPS_NORM = 1e-8  # stabilizer added to each norm in the correlation loss
 ADAM_BLOCK = 8192  # elements per in-place Adam block (64 KiB of float64)
@@ -41,9 +42,16 @@ CHECKPOINT_VERSION = 5
 
 @dataclass(frozen=True)
 class ConcatLayout:
-    """Segment map of the fused per-index vector: sources in role order."""
+    """Segment map of the fused per-index vector, one segment per entry in
+    order; slices() and the checkpoint find a source by its unique name."""
 
     entries: tuple[FeatureSource, ...]
+
+    def __post_init__(self):
+        names = [e.name for e in self.entries]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise FeatureError(f"duplicate source name {name!r}")
 
     @property
     def total_dim(self) -> int:
@@ -63,8 +71,10 @@ class ConcatLayout:
         return tokens[0] if tokens else None
 
     @classmethod
-    def from_registry(cls, registry: SourceRegistry) -> "ConcatLayout":
-        return cls(tuple(registry.in_role_order()))
+    def from_registry(cls, registry: Sequence[FeatureSource]) -> ConcatLayout:
+        """The registry's sources in ROLE_ORDER, ties broken on the name."""
+        return cls(tuple(sorted(registry, key=lambda s: (
+            ROLE_ORDER.index(s.role), s.name))))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +533,8 @@ def init_params(layout: ConcatLayout, cfg: TrainConfig,
     return params
 
 
-def train(dataset, registry: SourceRegistry, cfg: TrainConfig) -> TrainResult:
+def train(dataset, registry: Sequence[FeatureSource],
+          cfg: TrainConfig) -> TrainResult:
     """Seeded mini-batch training of the fusion head on (bundle, mos) pairs.
 
     Batches with constant labels are skipped (counted in the trace). The

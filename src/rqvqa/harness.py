@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import zip_longest
@@ -23,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ManifestError
-from .features import (
-    ExtractionConfig,
-    FeatureSource,
-    SourceRegistry,
-    assemble_bundle,
-)
+from .features import ExtractionConfig, FeatureSource, assemble_bundle
 from .fusion import (
     ConcatLayout,
     FusionHead,
@@ -171,7 +167,8 @@ def split(manifest: DatasetManifest, ratio: float = 0.8,
 # Bundle resolution
 
 
-def resolve_bundle(record: ManifestRecord, registry: SourceRegistry,
+def resolve_bundle(record: ManifestRecord,
+                   registry: Sequence[FeatureSource],
                    extraction: ExtractionConfig):
     """Load pixels and/or sidecars for one manifest record."""
     path = Path(record.path)
@@ -184,7 +181,8 @@ def resolve_bundle(record: ManifestRecord, registry: SourceRegistry,
                            video_id=record.video_id, extraction=extraction)
 
 
-def load_bundles(manifest: DatasetManifest, registry: SourceRegistry,
+def load_bundles(manifest: DatasetManifest,
+                 registry: Sequence[FeatureSource],
                  extraction: ExtractionConfig):
     """(bundle, mos) pairs in manifest order."""
     return [(resolve_bundle(rec, registry, extraction), rec.mos)
@@ -196,7 +194,7 @@ def load_bundles(manifest: DatasetManifest, registry: SourceRegistry,
 
 
 def predict_scores(head: FusionHead, manifest: DatasetManifest,
-                   registry: SourceRegistry,
+                   registry: Sequence[FeatureSource],
                    extraction: ExtractionConfig) -> list[tuple[str, float]]:
     """Deterministic per-video scores in manifest order."""
     _check_layout(head.layout, ConcatLayout.from_registry(registry))
@@ -253,9 +251,9 @@ class ExperimentReport:
     mean_plcc_4pl: float
 
 
-def _split_models(manifest: DatasetManifest, bundles, registry: SourceRegistry,
-                  cfg: TrainConfig, n: int, master_seed: int, ratio: float,
-                  grouping: str):
+def _split_models(manifest: DatasetManifest, bundles,
+                  registry: Sequence[FeatureSource], cfg: TrainConfig,
+                  n: int, master_seed: int, ratio: float, grouping: str):
     """Yield (plan, train_seed, head) for n seeded splits: split k uses seed
     master_seed + k and trains on its train ids, taken from the
     video_id -> (bundle, mos) map `bundles`, with seed
@@ -269,15 +267,17 @@ def _split_models(manifest: DatasetManifest, bundles, registry: SourceRegistry,
         yield plan, train_seed, result.head
 
 
-def _bundles_by_id(manifest: DatasetManifest, registry: SourceRegistry,
+def _bundles_by_id(manifest: DatasetManifest,
+                   registry: Sequence[FeatureSource],
                    extraction: ExtractionConfig):
     """video_id -> (bundle, mos) for every record of the manifest."""
     return {rec.video_id: pair for rec, pair in
             zip(manifest.records, load_bundles(manifest, registry, extraction))}
 
 
-def run_experiment(manifest: DatasetManifest, registry: SourceRegistry,
-                   cfg: TrainConfig, repeats: int = 1, *,
+def run_experiment(manifest: DatasetManifest,
+                   registry: Sequence[FeatureSource], cfg: TrainConfig,
+                   repeats: int = 1, *,
                    master_seed: int = 0, ratio: float = 0.8,
                    grouping: str = "by-scene",
                    extraction: ExtractionConfig = ExtractionConfig(),
@@ -313,7 +313,7 @@ def run_experiment(manifest: DatasetManifest, registry: SourceRegistry,
 
 
 def ensemble_predict(train_manifest: DatasetManifest,
-                     registry: SourceRegistry, cfg: TrainConfig,
+                     registry: Sequence[FeatureSource], cfg: TrainConfig,
                      k_splits: int = 10, *,
                      target_manifest: DatasetManifest | None = None,
                      master_seed: int = 0, ratio: float = 0.8,

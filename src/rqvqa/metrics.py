@@ -31,14 +31,19 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pearson(x, y) -> float:
-    """Centered linear correlation; rejects zero-variance inputs."""
+    """Centered linear correlation; rejects zero-variance inputs, and inputs
+    whose squares overflow."""
     xv, yv = _paired(x, y)
     a = xv - xv.mean()
     b = yv - yv.mean()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    with np.errstate(over="ignore", invalid="ignore"):  # they fail below
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        norms = na * nb
+    if not np.isfinite(norms):
+        raise MetricError("values too large: their squares overflow")
     if na == 0.0 or nb == 0.0:
         raise MetricError("zero variance input")
-    return float(a @ b / (na * nb))
+    return float(a @ b / norms)
 
 
 def rankdata(x) -> np.ndarray:
@@ -187,8 +192,9 @@ def evaluate(pred, mos) -> EvalReport:
     srcc = spearman(x, y)
     plcc_raw = pearson(x, y)
     try:
-        fit = fit_4pl(x, y)
-        plcc_4pl = pearson(apply_4pl(fit, x), y)
+        with np.errstate(all="ignore"):      # the fit keeps finite steps only
+            fit = fit_4pl(x, y)
+            plcc_4pl = pearson(apply_4pl(fit, x), y)
         fit_failed = False
     except MetricError:
         fit, plcc_4pl, fit_failed = None, plcc_raw, True

@@ -23,7 +23,6 @@ from rqvqa.errors import (
 from rqvqa.features import (
     FeatureBundle,
     FeatureSource,
-    SourceRegistry,
     load_sidecar,
     save_sidecar,
     toy_registry,
@@ -104,7 +103,7 @@ def _gradcheck_registry(with_tokens):
     if with_tokens:
         sources[0] = FeatureSource("spatial_vec", "tokens", 8, role="spatial",
                                    token_count=3)
-    return SourceRegistry(sources)
+    return tuple(sources)
 
 
 def _random_batch(layout, rng, n_videos=4, n_z=2):

@@ -194,8 +194,9 @@ class TestBackboneWidthsFromSidecars:
 
     def test_video_at_other_widths_rejected(self, tmp_path, capsys):
         manifest = sidecar_corpus(tmp_path / "corpus", 0)
-        wide = backbone_registry(**{**SMALL_WIDTHS, "temporal_dim": 9})
-        save_sidecar(wide["temporal"], np.zeros((3, 9)),
+        _, temporal, *_ = backbone_registry(
+            **{**SMALL_WIDTHS, "temporal_dim": 9})
+        save_sidecar(temporal, np.zeros((3, 9)),
                      tmp_path / "corpus" / "v2" / "temporal.rqvf")
         assert main(["train", "--manifest", str(manifest), "--out",
                      str(tmp_path / "m.ckpt")] + SIDECAR_TRAIN) == 1
@@ -251,7 +252,8 @@ class TestBackboneWidthsFromSidecars:
         err = capsys.readouterr().err
         assert err == (f"error: SidecarShapeError: "
                        f"{tmp_path / 'pooled' / 'v0' / 'spatial.rqvf'}: "
-                       f"granularity keyframe, source expects tokens\n")
+                       f"granularity mismatch (file keyframe, source "
+                       f"tokens)\n")
 
 
 class TestGmsDump:
@@ -580,3 +582,15 @@ class TestErrors:
             assert main(["eval", "--pred", str(path)]) == 1
             err = capsys.readouterr().err
             assert err == f"error: ManifestError: {path}:{message}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_rejects_values_whose_squares_overflow(self, workspace,
+                                                       capsys):
+        path = workspace / "big.csv"
+        path.write_text("prediction,mos\n1e200,1\n" + "".join(
+            f"0.{i}3,{i}\n" for i in range(2, 7)))
+        assert main(["eval", "--pred", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: MetricError: values too large: "
+                                "their squares overflow\n")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from rqvqa.errors import (
 from rqvqa.features import (
     ExtractionConfig,
     FeatureSource,
-    SourceRegistry,
     assemble_bundle,
+    backbone_registry,
     load_sidecar,
     save_sidecar,
     toy_fragmentstats,
@@ -59,6 +61,28 @@ class TestFeatureSource:
                              "dim": 6, **kw})
 
 
+class TestRegistries:
+    def test_declaration_order(self):
+        # BackboneCorpus.setup in perfbench draws one random direction per
+        # source in this order; another order would change its inputs
+        for registry in (backbone_registry(),
+                         backbone_registry(spatial_tokens=49)):
+            assert isinstance(registry, tuple)
+            assert [s.name for s in registry] == [
+                "spatial", "temporal", "frame_quality_probs",
+                "frame_quality_lmm", "spatiotemporal"]
+        assert [s.name for s in toy_registry()] == [
+            "pixelstats", "motionstats", "fragmentstats"]
+
+
+def edit_header(path, fmt, offset, *values):
+    """Rewrite header fields of the sidecar at path; the payload CRC
+    stays valid, since it covers the payload alone."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, *values)
+    path.write_bytes(bytes(data))
+
+
 class TestSidecarRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -92,6 +116,33 @@ class TestSidecarRoundTrip:
                             tmp_path / "f.rqvf")
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(SidecarTruncatedError, match="truncated payload"):
+            load_sidecar(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        src = keyframe_source(dim=4)
+        path = save_sidecar(src, np.ones((2, 4), dtype=np.float32),
+                            tmp_path / "f.rqvf")
+        path.write_bytes(path.read_bytes() + b"junk after crc")
+        with pytest.raises(SidecarTruncatedError, match=(
+                f"^{path}: 14 bytes after the checksum$")):
+            load_sidecar(path, expect=src)
+
+    # "feat" ends at byte 12; count u32 and token_count u32 follow the
+    # granularity byte, at 13 and 17
+    @pytest.mark.parametrize("fmt, offset, values, rows, match", [
+        ("<II", 13, (2, 3), 6, "feat: token_count only valid for tokens"),
+        ("<B", 12, (1,), 6, "feat: tokens source needs token_count"),
+        ("<BI", 12, (3, 2), 1, "video source with count 2"),
+    ], ids=["keyframe-with-tokens", "tokens-without-count", "video-count"])
+    def test_header_must_state_a_valid_source(self, tmp_path, fmt, offset,
+                                              values, rows, match):
+        # each edit keeps the byte count the header declares: a keyframe
+        # header stating 2 key frames of 3 tokens read its 6 rows as such
+        path = save_sidecar(keyframe_source(dim=4),
+                            np.ones((rows, 4), dtype=np.float32),
+                            tmp_path / "f.rqvf")
+        edit_header(path, fmt, offset, *values)
+        with pytest.raises(SidecarShapeError, match=f"^{path}: {match}$"):
             load_sidecar(path)
 
     def test_bad_magic(self, tmp_path):
@@ -386,7 +437,7 @@ class TestAssembleBundle:
         registry = toy_registry()
         override = np.zeros((2, 16), dtype=np.float32)
         override[:, 0] = 0.5
-        save_sidecar(registry["pixelstats"], override,
+        save_sidecar(registry[0], override,
                      tmp_path / "pixelstats.rqvf")
         bundle = assemble_bundle(video, registry, sidecar_dir=tmp_path,
                                  extraction=EXTRACTION)
@@ -394,17 +445,17 @@ class TestAssembleBundle:
                                       override.astype(np.float64))
 
     def test_missing_source_listed(self, video):
-        registry = SourceRegistry([
+        registry = (
             FeatureSource("pixelstats", "keyframe", 16, toy="pixelstats"),
             FeatureSource("external", "keyframe", 4),
-        ])
+        )
         with pytest.raises(FeatureError, match="external"):
             assemble_bundle(video, registry, extraction=EXTRACTION)
 
     def test_count_mismatch_vs_keyframes(self, tmp_path):
         video = make_video(n_frames=12, height=16, width=16, fps=4)  # N_z=3
         registry = toy_registry()
-        save_sidecar(registry["pixelstats"],
+        save_sidecar(registry[0],
                      np.ones((2, 16), dtype=np.float32),
                      tmp_path / "pixelstats.rqvf")
         with pytest.raises(FeatureError, match=(
@@ -414,24 +465,26 @@ class TestAssembleBundle:
                             video_id="clip", extraction=EXTRACTION)
 
     def test_probability_rows_validated(self, tmp_path, video):
-        registry = SourceRegistry([
+        probs = FeatureSource("probs", "keyframe", 4, probability=True)
+        registry = (
             FeatureSource("pixelstats", "keyframe", 16, toy="pixelstats"),
-            FeatureSource("probs", "keyframe", 4, probability=True),
-        ])
+            probs,
+        )
         bad = np.full((2, 4), 0.225, dtype=np.float32)  # rows sum to 0.9
-        save_sidecar(registry["probs"], bad, tmp_path / "probs.rqvf")
+        save_sidecar(probs, bad, tmp_path / "probs.rqvf")
         with pytest.raises(FeatureError, match=(
                 "^clip: probs: probability rows must sum to 1")):
             assemble_bundle(video, registry, sidecar_dir=tmp_path,
                             video_id="clip", extraction=EXTRACTION)
 
     def test_probability_flag_off_accepts_logits(self, tmp_path, video):
-        registry = SourceRegistry([
+        source = FeatureSource("logits", "keyframe", 4, probability=False)
+        registry = (
             FeatureSource("pixelstats", "keyframe", 16, toy="pixelstats"),
-            FeatureSource("logits", "keyframe", 4, probability=False),
-        ])
+            source,
+        )
         logits = np.array([[-3.0, 2.0, 0.5, 9.0]] * 2, dtype=np.float32)
-        save_sidecar(registry["logits"], logits, tmp_path / "logits.rqvf")
+        save_sidecar(source, logits, tmp_path / "logits.rqvf")
         bundle = assemble_bundle(video, registry, sidecar_dir=tmp_path,
                                  extraction=EXTRACTION)
         assert "logits" in bundle.matrices
@@ -443,24 +496,21 @@ class TestAssembleBundle:
             FeatureSource("motionstats", "chunk", 8, role="temporal",
                           toy="motionstats"),
         ]
-        a = assemble_bundle(video, SourceRegistry(sources),
-                            extraction=EXTRACTION)
-        b = assemble_bundle(video, SourceRegistry(sources[::-1]),
-                            extraction=EXTRACTION)
+        a = assemble_bundle(video, sources, extraction=EXTRACTION)
+        b = assemble_bundle(video, sources[::-1], extraction=EXTRACTION)
         assert a.matrices.keys() == b.matrices.keys()
         for name in a.matrices:
             np.testing.assert_array_equal(a.matrices[name], b.matrices[name])
 
     def test_sidecar_only_video(self, tmp_path):
-        registry = SourceRegistry([
-            FeatureSource("ext_key", "keyframe", 4),
-            FeatureSource("ext_vid", "video", 3),
-        ])
+        ext_key = FeatureSource("ext_key", "keyframe", 4)
+        ext_vid = FeatureSource("ext_vid", "video", 3)
+        registry = (ext_key, ext_vid)
         rng = np.random.default_rng(9)
-        save_sidecar(registry["ext_key"],
+        save_sidecar(ext_key,
                      rng.standard_normal((5, 4)).astype(np.float32),
                      tmp_path / "ext_key.rqvf")
-        save_sidecar(registry["ext_vid"],
+        save_sidecar(ext_vid,
                      rng.standard_normal((1, 3)).astype(np.float32),
                      tmp_path / "ext_vid.rqvf")
         bundle = assemble_bundle(None, registry, sidecar_dir=tmp_path,
@@ -468,9 +518,9 @@ class TestAssembleBundle:
         assert bundle.n_keyframes == 5
 
         # the first per-index sidecar sets N_z; one that disagrees fails
-        both = SourceRegistry([*registry,
-                               FeatureSource("ext_b", "keyframe", 2)])
-        save_sidecar(both["ext_b"], np.zeros((3, 2)), tmp_path / "ext_b.rqvf")
+        ext_b = FeatureSource("ext_b", "keyframe", 2)
+        both = (*registry, ext_b)
+        save_sidecar(ext_b, np.zeros((3, 2)), tmp_path / "ext_b.rqvf")
         with pytest.raises(FeatureError, match=(
                 r"^x: ext_b: shape \(3, 2\) != expected \(5, 2\) "
                 r"\(N_z=5\)$")):
@@ -479,9 +529,6 @@ class TestAssembleBundle:
         with pytest.raises(FeatureError, match=(
                 "^x: cannot infer key-frame count from video-granularity "
                 "sidecars alone$")):
-            assemble_bundle(None, SourceRegistry([registry["ext_vid"]]),
-                            sidecar_dir=tmp_path, video_id="x")
+            assemble_bundle(None, (ext_vid,), sidecar_dir=tmp_path,
+                            video_id="x")
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(FeatureError, match="duplicate"):
-            SourceRegistry([keyframe_source("a"), keyframe_source("a")])

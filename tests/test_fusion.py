@@ -18,7 +18,6 @@ from rqvqa.features import (
     TOY_EXTRACTORS,
     FeatureBundle,
     FeatureSource,
-    SourceRegistry,
     backbone_registry,
     save_sidecar,
 )
@@ -177,6 +176,24 @@ class TestConcatFeatures:
         bundle = make_bundle(n_z=1)
         rows = _fuse(bundle, toy_layout(), None)
         assert rows.shape == (1, 40)
+
+    def test_from_registry_orders_by_role_then_name(self):
+        registry = backbone_registry()
+        order = ["spatial", "temporal", "frame_quality_lmm",
+                 "frame_quality_probs", "spatiotemporal"]
+        for sources in (registry, registry[::-1], list(registry)):
+            layout = ConcatLayout.from_registry(sources)
+            assert [e.name for e in layout.entries] == order
+            assert isinstance(layout.entries, tuple)
+        assert layout.total_dim == 1024 + 256 + 4096 + 495 + 768
+
+    def test_duplicate_names_rejected(self):
+        twice = (FeatureSource("a", "keyframe", 6),
+                 FeatureSource("a", "chunk", 2, role="temporal"))
+        with pytest.raises(FeatureError, match="^duplicate source name 'a'$"):
+            ConcatLayout.from_registry(twice)
+        with pytest.raises(FeatureError, match="duplicate"):
+            ConcatLayout(twice[:1] * 2)
 
     def test_missing_source(self):
         bundle = make_bundle()
@@ -673,14 +690,14 @@ class TestAdam:
 
 
 def toy_training_registry():
-    return SourceRegistry([
+    return (
         FeatureSource("pixelstats", "keyframe", 16, role="spatial",
                       toy="pixelstats"),
         FeatureSource("motionstats", "chunk", 8, role="temporal",
                       toy="motionstats"),
         FeatureSource("fragmentstats", "video", 16, role="video_quality",
                       toy="fragmentstats"),
-    ])
+    )
 
 
 def affine_dataset(n=24, seed=0):
@@ -734,18 +751,30 @@ class TestTrain:
         assert result.trace.steps == 0
         assert result.trace.skipped_batches == 4
 
+    def test_one_video_tail_batch_skipped(self):
+        # 7 videos at batch size 6: each epoch's last batch holds one video,
+        # which gives the correlation loss nothing to correlate
+        samples = [(make_bundle(seed=i, video_id=f"v{i}"), float(i))
+                   for i in range(7)]
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, epochs=2,
+                          lr_decay_epoch=1, hidden=8, seed=3)
+        trace = train(samples, toy_training_registry(), cfg).trace
+        assert (trace.steps, trace.skipped_batches) == (2, 0)
+        assert len(trace.epoch_losses) == 2
+        assert all(np.isfinite(trace.epoch_losses))
+
     def test_too_few_videos_rejected(self):
         with pytest.raises(TrainingError):
             train(affine_dataset(n=1), toy_training_registry(), TrainConfig())
 
 
 def token_registry(d=8, t=4):
-    return SourceRegistry([
+    return (
         FeatureSource("spatial_tokens", "tokens", d, role="spatial",
                       token_count=t),
         FeatureSource("motionstats", "chunk", 8, role="temporal",
                       toy="motionstats"),
-    ])
+    )
 
 
 def token_bundle(n_z=2, d=8, t=4, seed=0, video_id="v"):
@@ -1090,7 +1119,8 @@ class TestCheckpoint:
     def test_header_stores_each_source_in_full(self, tmp_path):
         header, _ = self._parts(self._saved(tmp_path))
         assert header["layout"] == [
-            asdict(s) for s in toy_training_registry().in_role_order()]
+            asdict(s) for s in
+            ConcatLayout.from_registry(toy_training_registry()).entries]
 
     @pytest.mark.parametrize("key, value, match", [
         ("dim", 16.0, "dim must be int, got 16.0"),
@@ -1100,6 +1130,7 @@ class TestCheckpoint:
         ("granularity", "frame", "unknown granularity 'frame'"),
         ("width", 16, "unexpected keyword argument 'width'"),
         ("role", DROP, "a layout entry does not state every field"),
+        ("name", "motionstats", "duplicate source name 'motionstats'"),
     ])
     def test_layout_spec_checked_at_load(self, tmp_path, key, value, match):
         path = self._saved(tmp_path)
@@ -1148,7 +1179,7 @@ def fuzz_corpus(tmp_path_factory):
     """A directory holding m.ckpt, a head over one source of each
     granularity, and manifest.csv, one sidecar video that it scores."""
     root = tmp_path_factory.mktemp("fuzz")
-    registry = SourceRegistry([
+    registry = (
         FeatureSource("spatial_tokens", "tokens", 8, role="spatial",
                       token_count=4),
         FeatureSource("motionstats", "chunk", 8, role="temporal",
@@ -1156,7 +1187,7 @@ def fuzz_corpus(tmp_path_factory):
         FeatureSource("probs", "keyframe", 3, probability=True),
         FeatureSource("fragmentstats", "video", 16, role="video_quality",
                       toy="fragmentstats"),
-    ])
+    )
     cfg = TrainConfig(hidden=4, mhsa_heads=2)
     head = build_head(ConcatLayout.from_registry(registry), cfg, seed=2)
     bundle = layout_bundle(head.layout, n_z=2, seed=3)

@@ -12,7 +12,6 @@ from rqvqa.errors import CheckpointError, ManifestError
 from rqvqa.features import (
     ExtractionConfig,
     FeatureSource,
-    SourceRegistry,
     save_sidecar,
     toy_registry,
 )
@@ -346,15 +345,12 @@ class TestPredict:
         assert q_hat == pytest.approx(q_0, abs=1e-12)
 
     def test_registry_mismatch_not_silent(self, small_corpus, tmp_path):
-        from rqvqa.features import FeatureSource, SourceRegistry
         manifest, _ = small_corpus
         registry = toy_registry()
         dataset = load_bundles(manifest, registry, EXTRACTION)
         result = train(dataset, registry, FAST_TRAIN)
-        smaller = SourceRegistry([
-            FeatureSource("pixelstats", "keyframe", 16, role="spatial",
-                          toy="pixelstats"),
-        ])
+        smaller = (FeatureSource("pixelstats", "keyframe", 16, role="spatial",
+                                 toy="pixelstats"),)
         with pytest.raises(CheckpointError, match="expected"):
             predict_scores(result.head, manifest, smaller, EXTRACTION)
 
@@ -363,9 +359,9 @@ class TestPredict:
         # a library caller may pass any registry; the head's layout decides
         head = build_head(ConcatLayout.from_registry(token_registry()),
                           TrainConfig(hidden=4, mhsa_heads=2))
-        pooled = SourceRegistry([
-            FeatureSource("spatial_tokens", "keyframe", 8, role="spatial"),
-            token_registry()["motionstats"]])
+        _, motion = token_registry()
+        pooled = (FeatureSource("spatial_tokens", "keyframe", 8,
+                                role="spatial"), motion)
         with pytest.raises(CheckpointError) as info:
             predict_scores(head, DatasetManifest([]), pooled, EXTRACTION)
         checkpoint = ("('spatial_tokens', 'tokens', 8, 'spatial', 4, False, "

@@ -132,10 +132,14 @@ def test_fuzzed_config(corpus, ops):
                "--config", str(corpus / "cfg.txt")])
 
 
+# bytes 15-18 are the first prediction, "0.00"; numpy warnings are errors
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(MUTATIONS)
 @example([("replace", 0, 0xFF)])              # not UTF-8
 @example([("repeat", 0, FIELD_LIMIT)])        # a field over csv's limit
+@example([("replace", 15, ord("1")), ("replace", 16, ord("e")),
+          ("replace", 17, ord("2")), ("insert", 19, ord("0"))])   # 1e200
 def test_fuzzed_eval_csv(corpus, ops):
     fuzz_file(corpus / "eval.csv", ops,
               ["eval", "--pred", str(corpus / "eval.csv")])

@@ -82,6 +82,17 @@ class TestPearson:
         with pytest.raises(MetricError, match="length mismatch"):
             pearson([1, 2], [1, 2, 3])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e200, -1e160, 1e155])
+    def test_squares_that_overflow_rejected(self, big):
+        # last: x's squares underflow to a zero norm, and 0 * inf is nan
+        for x, y in (([big, 1, 2, 3], [1, 2, 3, 4]),
+                     ([1, 2, 3, 4], [1, 2, 3, big]),
+                     ([1e-200, 0, 0, 0], [big, 0, 0, 0])):
+            with pytest.raises(MetricError, match="squares overflow"):
+                pearson(x, y)
+        assert pearson([1e150, 0, 0, 0], [1, 0, 0, 0]) == pytest.approx(1.0)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -240,6 +251,16 @@ class TestEvaluate:
         rep = evaluate([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.8])
         assert rep.fit_failed
         assert rep.fit is None
+        assert rep.plcc_4pl == rep.plcc_raw
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [9.9e152, 1.3e154])
+    def test_fit_that_overflows_falls_back_without_warnings(self, big):
+        # the MOS spread passes pearson, but the fit's normal equations
+        # overflow; the fit fails and no numpy warning escapes
+        pred = [0.1 * i + 0.03 * (i % 3) for i in range(10)]
+        rep = evaluate(pred, [big] + [float(i) for i in range(1, 10)])
+        assert rep.fit_failed
         assert rep.plcc_4pl == rep.plcc_raw
 
     def test_anti_correlated_prediction_keeps_its_sign(self):
