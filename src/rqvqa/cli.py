@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +70,7 @@ def _manifest_and_registry(cfg: RunConfig, path: str):
 
 
 def cmd_synth(args) -> int:
-    manifest = make_synthetic_corpus(args.out, args.n, args.seed,
-                                     width=args.width, height=args.height,
-                                     fps=args.fps, seconds=args.seconds,
-                                     videos_per_scene=args.videos_per_scene)
+    manifest = make_synthetic_corpus(args.out, args.n, args.seed)
     print(f"wrote {len(manifest)} videos under {args.out}")
     return 0
 
@@ -180,13 +177,8 @@ def cmd_eval(args) -> int:
     lines = [f"srcc={report.srcc:.6f}",
              f"plcc_raw={report.plcc_raw:.6f}",
              f"plcc_4pl={report.plcc_4pl:.6f}"]
-    if report.fit is not None:
-        lines += [f"beta1={report.fit.beta1:.6f}",
-                  f"beta2={report.fit.beta2:.6f}",
-                  f"beta3={report.fit.beta3:.6f}",
-                  f"beta4={report.fit.beta4:.6f}"]
-    else:
-        lines += [f"beta{i}=nan" for i in (1, 2, 3, 4)]
+    betas = astuple(report.fit) if report.fit else (float("nan"),) * 4
+    lines += [f"beta{i}={beta:.6f}" for i, beta in enumerate(betas, 1)]
     lines.append(f"n={report.n}")
     if report.fit_failed:
         lines.append("fit_failed=1")
@@ -202,12 +194,10 @@ def cmd_ensemble(args) -> int:
     manifest, registry = _manifest_and_registry(cfg, args.train_manifest)
     target = load_manifest(args.target_manifest) if args.target_manifest \
         else None
-    rows = ensemble_predict(manifest, registry, cfg.train,
+    rows = ensemble_predict(manifest, registry, cfg.train, cfg.split,
                             k_splits=args.k, target_manifest=target,
-                            master_seed=cfg.seed, ratio=cfg.split.ratio,
-                            grouping=cfg.split.grouping,
-                            combiner=cfg.ensemble_combiner,
-                            extraction=cfg.extraction)
+                            master_seed=cfg.seed, extraction=cfg.extraction,
+                            combiner=cfg.ensemble_combiner)
     write_predictions(rows, args.out)
     print(f"wrote {len(rows)} ensembled predictions to {args.out}")
     return 0
@@ -216,9 +206,8 @@ def cmd_ensemble(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _config(args)
     manifest, registry = _manifest_and_registry(cfg, args.manifest)
-    report = run_experiment(manifest, registry, cfg.train,
+    report = run_experiment(manifest, registry, cfg.train, cfg.split,
                             repeats=args.repeats, master_seed=cfg.seed,
-                            ratio=cfg.split.ratio, grouping=cfg.split.grouping,
                             extraction=cfg.extraction)
     for row in report.rows:
         r = row.report
@@ -242,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=320)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--fps", type=int, default=4)
-    p.add_argument("--seconds", type=int, default=2)
-    p.add_argument("--videos-per-scene", type=int, default=4)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess",

@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .features import ExtractionConfig
 from .fusion import LOSSES, TrainConfig
-from .harness import COMBINERS, GROUPINGS
+from .harness import COMBINERS, GROUPINGS, SplitConfig
 from .preproc import CROP_MODES
 
 # backbone sources take their widths from the first video's sidecar headers
@@ -34,12 +34,6 @@ class PreprocConfig:
     crop_mode: str = "center"
     crop_seed: int = 0
     chunk_size: int = 224
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    ratio: float = 0.8
-    grouping: str = "by-scene"
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def save_sidecar(source: FeatureSource, matrix: np.ndarray,
             f"{source.name}: matrix {matrix.shape} does not match dim {source.dim}")
     rows = matrix.shape[0]
     count = rows // source.rows(1)
-    if source.rows(count) != rows:
+    if count == 0 or source.rows(count) != rows:
         raise SidecarShapeError(
             f"{source.name}: {rows} rows fit no key-frame count of a "
             f"{source.granularity} source (token_count {source.token_count})")
@@ -236,8 +236,8 @@ def load_sidecar(path: str | Path,
                  expect: FeatureSource | None = None):
     """Read an RQVF file; returns (name, granularity, token_count, matrix).
 
-    The header must state a valid source, and the file must be exactly as
-    long as that header declares. The matrix is float32 exactly as stored.
+    The header must state a valid source of >= 1 key frame, and the file
+    must be exactly that long. The matrix is float32 exactly as stored.
     When `expect` is given, the header's name, dim, granularity and token
     count must agree with the declared source.
     """
@@ -267,8 +267,9 @@ def load_sidecar(path: str | Path,
                                token_count=token_count)
     except FeatureError as exc:
         raise SidecarShapeError(f"{path}: {exc}") from None
-    if stored.granularity == "video" and count != 1:
-        raise SidecarShapeError(f"{path}: video source with count {count}")
+    if count == 0 or (stored.granularity == "video" and count != 1):
+        raise SidecarShapeError(
+            f"{path}: {stored.granularity} source with count {count}")
 
     rows = stored.rows(count)
     end = offset + rows * dim * 4

@@ -15,7 +15,7 @@ import math
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +133,11 @@ class TrainConfig:
     mhsa_heads: int = 8
 
     def __post_init__(self):
+        # a config may come from a checkpoint header: types are checked too
+        kinds = {"float": (int, float), "int": (int,), "str": (str,)}
+        for f in fields(self):          # type(True) is bool, not int
+            if type(value := getattr(self, f.name)) not in kinds[f.type]:
+                raise TrainingError(f"{f.name} must be {f.type}, got {value!r}")
         if self.learning_rate < 0:
             raise TrainingError("learning_rate must be >= 0")
         for name in ("epochs", "hidden", "mhsa_heads"):
@@ -621,7 +626,8 @@ def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint; returns (head, cfg, master_seed).
 
     The checksum is checked before the header is read. Each layout entry must
-    be a full source spec, and the tensor bytes must be exactly those of the
+    be a full source spec, the config and seed must hold values of their
+    declared types, and the tensor bytes must be exactly those of the
     shapes that the layout, hidden width and attention head count fix.
     """
     data = Path(path).read_bytes()
@@ -650,6 +656,10 @@ def load_checkpoint(path: str | Path):
         if [asdict(source) for source in layout.entries] != header["layout"]:
             raise FeatureError("a layout entry does not state every field")
         cfg = TrainConfig(**header["train_config"])
+        if asdict(cfg) != header["train_config"]:
+            raise TrainingError("train_config does not state every field")
+        if type(header["seed"]) is not int:
+            raise TypeError(f"seed must be int, got {header['seed']!r}")
         shapes = param_shapes(layout, cfg.hidden, cfg.mhsa_heads)
     except (TypeError, ValueError, FeatureError, TrainingError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None

@@ -126,6 +126,12 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> Path:
 
 
 @dataclass(frozen=True)
+class SplitConfig:
+    ratio: float = 0.8
+    grouping: str = "by-scene"
+
+
+@dataclass(frozen=True)
 class SplitPlan:
     seed: int
     train_ids: tuple[str, ...]
@@ -142,8 +148,8 @@ def _groups(manifest: DatasetManifest, grouping: str) -> dict[str, list[str]]:
     return groups
 
 
-def split(manifest: DatasetManifest, ratio: float = 0.8,
-          grouping: str = "by-scene", seed: int = 0) -> SplitPlan:
+def split(manifest: DatasetManifest, ratio: float = SplitConfig.ratio,
+          grouping: str = SplitConfig.grouping, seed: int = 0) -> SplitPlan:
     """Shuffle groups by seed; the first ceil(ratio * G) groups train."""
     if grouping not in GROUPINGS:
         raise ManifestError(f"unknown grouping {grouping!r}")
@@ -253,13 +259,13 @@ class ExperimentReport:
 
 def _split_models(manifest: DatasetManifest, bundles,
                   registry: Sequence[FeatureSource], cfg: TrainConfig,
-                  n: int, master_seed: int, ratio: float, grouping: str):
+                  protocol: SplitConfig, n: int, master_seed: int):
     """Yield (plan, train_seed, head) for n seeded splits: split k uses seed
     master_seed + k and trains on its train ids, taken from the
     video_id -> (bundle, mos) map `bundles`, with seed
     master_seed + TRAIN_SEED_STRIDE + k."""
     for k in range(n):
-        plan = split(manifest, ratio=ratio, grouping=grouping,
+        plan = split(manifest, protocol.ratio, protocol.grouping,
                      seed=master_seed + k)
         train_seed = master_seed + TRAIN_SEED_STRIDE + k
         result = train([bundles[v] for v in plan.train_ids], registry,
@@ -277,17 +283,16 @@ def _bundles_by_id(manifest: DatasetManifest,
 
 def run_experiment(manifest: DatasetManifest,
                    registry: Sequence[FeatureSource], cfg: TrainConfig,
-                   repeats: int = 1, *,
-                   master_seed: int = 0, ratio: float = 0.8,
-                   grouping: str = "by-scene",
+                   protocol: SplitConfig, repeats: int = 1, *,
+                   master_seed: int = 0,
                    extraction: ExtractionConfig = ExtractionConfig(),
                    ) -> ExperimentReport:
     """Train/evaluate on `repeats` seeded splits and average the criteria."""
     if repeats < 1:
         raise ManifestError(f"repeats must be >= 1, got {repeats}")
+    ratio, grouping = protocol.ratio, protocol.grouping
     # ceil(ratio * G) does not depend on the seed: split 0 speaks for all
-    plan = split(manifest, ratio=ratio, grouping=grouping, seed=master_seed)
-    if not plan.test_ids:
+    if not split(manifest, ratio, grouping, seed=master_seed).test_ids:
         n_groups = len(_groups(manifest, grouping))
         raise ManifestError(
             f"ratio {ratio} leaves no test video: ceil({ratio} * {n_groups}) "
@@ -296,8 +301,7 @@ def run_experiment(manifest: DatasetManifest,
     bundles = _bundles_by_id(manifest, registry, extraction)
     rows = []
     for plan, train_seed, head in _split_models(
-            manifest, bundles, registry, cfg, repeats, master_seed, ratio,
-            grouping):
+            manifest, bundles, registry, cfg, protocol, repeats, master_seed):
         preds = [video_forward(bundles[v][0], head) for v in plan.test_ids]
         mos = [bundles[v][1] for v in plan.test_ids]
         rows.append(SplitResult(split_seed=plan.seed, train_seed=train_seed,
@@ -314,10 +318,9 @@ def run_experiment(manifest: DatasetManifest,
 
 def ensemble_predict(train_manifest: DatasetManifest,
                      registry: Sequence[FeatureSource], cfg: TrainConfig,
-                     k_splits: int = 10, *,
+                     protocol: SplitConfig, k_splits: int = 10, *,
                      target_manifest: DatasetManifest | None = None,
-                     master_seed: int = 0, ratio: float = 0.8,
-                     grouping: str = "by-scene", combiner: str = "mean",
+                     master_seed: int = 0, combiner: str = "mean",
                      extraction: ExtractionConfig = ExtractionConfig(),
                      ) -> list[tuple[str, float]]:
     """Train k models on k seeded splits and combine their predictions.
@@ -339,8 +342,8 @@ def ensemble_predict(train_manifest: DatasetManifest,
     per_model = np.array([
         [video_forward(bundle, head) for bundle, _ in target_bundles]
         for _, _, head in _split_models(train_manifest, train_bundles,
-                                        registry, cfg, k_splits, master_seed,
-                                        ratio, grouping)])
+                                        registry, cfg, protocol, k_splits,
+                                        master_seed)])
     combined = per_model.mean(axis=0) if combiner == "mean" else \
         np.median(per_model, axis=0)
     return [(rec.video_id, float(s))

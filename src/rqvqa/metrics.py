@@ -93,13 +93,16 @@ def apply_4pl(params: FourPLParams, x) -> np.ndarray:
     return (params.beta1 - params.beta2) * s + params.beta2
 
 
-def fit_4pl(pred, mos, max_iter: int = 200,
-            rel_tol: float = 1e-10) -> FourPLParams:
+FIT_MAX_ITER = 200      # Gauss-Newton steps at most
+FIT_REL_TOL = 1e-10     # a smaller relative SSE gain ends the fit
+
+
+def fit_4pl(pred, mos) -> FourPLParams:
     """Least-squares logistic fit via Levenberg-damped Gauss-Newton.
 
     Starts from beta = (max(mos), min(mos), mean(pred), std(pred)/4) and
     moves only to a strictly lower SSE, so it returns the best parameters
-    found within the iteration budget. A best fit with beta1 <= beta2 maps
+    found within FIT_MAX_ITER steps. A best fit with beta1 <= beta2 maps
     higher predictions to lower quality; it is rejected, so that a negative
     correlation keeps its sign.
     """
@@ -120,7 +123,7 @@ def fit_4pl(pred, mos, max_iter: int = 200,
     r, s = residuals(beta)
     sse = float(r @ r)
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         a4 = abs(beta[3])
         sp = s * (1.0 - s)          # sigmoid derivative wrt its argument
         jac = np.column_stack([
@@ -152,7 +155,7 @@ def fit_4pl(pred, mos, max_iter: int = 200,
             rel_change = abs(sse - sse_new) / max(sse, 1e-30)
             beta, r, s, sse = cand, r_new, s_new, sse_new
             lam = max(lam * 0.1, 1e-12)
-            if rel_change < rel_tol:
+            if rel_change < FIT_REL_TOL:
                 break
         else:
             lam *= 10.0

@@ -25,6 +25,12 @@ import numpy as np
 from .errors import ManifestError
 from .preproc import VideoFrames, resize_exact, save_raw_video
 
+# corpus geometry: configs/desk.cfg's 4x4 grid of 8-pixel patches fits it
+WIDTH = HEIGHT = 64
+FPS = 4
+SECONDS = 2
+VIDEOS_PER_SCENE = 4
+
 BLUR_SIGMA_MAX = 1.2
 NOISE_STD_MAX = 20.0
 BLOCK_SIZE = 8
@@ -126,13 +132,11 @@ def draw_levels(rng: np.random.Generator, band) -> tuple[float, float, float]:
             return lv
 
 
-def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int, *,
-                          width: int = 64, height: int = 64, fps: int = 4,
-                          seconds: int = 2, videos_per_scene: int = 4):
+def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int):
     """Generate videos plus a manifest.csv whose paths are relative to
     out_dir; returns the manifest as load_manifest reads it back.
 
-    Scene k holds one pristine clip and videos_per_scene - 1 degraded
+    Scene k holds one pristine clip and VIDEOS_PER_SCENE - 1 degraded
     variants cycling through the low/mid/high degradation bands.
     """
     from .harness import (DatasetManifest, ManifestRecord, load_manifest,
@@ -143,15 +147,14 @@ def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int, *,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    n_frames = fps * seconds
 
     records = []
     scene = 0
     made = 0
     while made < n_videos:
         scene_id = f"scene{scene:04d}"
-        clip = pristine_clip(rng, width, height, n_frames)
-        for k in range(min(videos_per_scene, n_videos - made)):
+        clip = pristine_clip(rng, WIDTH, HEIGHT, FPS * SECONDS)
+        for k in range(min(VIDEOS_PER_SCENE, n_videos - made)):
             if k == 0:
                 levels = (0.0, 0.0, 0.0)
             else:
@@ -159,7 +162,7 @@ def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int, *,
                     rng, DEGRADATION_BANDS[(k - 1) % len(DEGRADATION_BANDS)])
             video_id = f"{scene_id}_v{k}"
             frames = degrade(clip, *levels, rng=rng)
-            video = VideoFrames.from_array(frames, frame_rate=fps)
+            video = VideoFrames.from_array(frames, frame_rate=FPS)
             save_raw_video(video, out_dir / video_id)
             records.append(ManifestRecord(
                 video_id=video_id, path=video_id,

@@ -33,6 +33,7 @@ from rqvqa.preproc import (
 
 import toy_oracle
 from conftest import DESK_CFG
+from test_features import zero_count
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,17 @@ class TestSynth(object):
     def test_manifest_written(self, workspace):
         manifest = load_manifest(workspace / "corpus" / "manifest.csv")
         assert len(manifest) == 24
+
+    @pytest.mark.parametrize("flag", ["--width", "--height", "--fps",
+                                      "--seconds", "--videos-per-scene"])
+    def test_geometry_is_not_an_option(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "c"), "--n", "20", flag,
+                  "2"])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == f"rqvqa: error: unrecognized arguments: {flag} 2"
+        assert not (tmp_path / "c").exists()
 
 
 class TestTrainPredictEval:
@@ -424,6 +436,30 @@ class TestEnsembleCommand:
 
 
 class TestErrors:
+    def test_zero_row_sidecar_names_its_file(self, tmp_path, capsys):
+        # a sidecar-only toy corpus whose v1 key-frame and chunk sidecars
+        # hold no row; the first one read names itself
+        rng = np.random.default_rng(0)
+        records = []
+        for v in range(4):
+            for source in toy_registry():
+                save_sidecar(source, rng.uniform(0.0, 1.0, (source.rows(2),
+                                                            source.dim)),
+                             tmp_path / f"v{v}" / f"{source.name}.rqvf")
+            records.append(ManifestRecord(f"v{v}", str(tmp_path / f"v{v}"),
+                                          float(v), f"s{v}"))
+        for name in ("pixelstats", "motionstats"):
+            zero_count(tmp_path / "v1" / f"{name}.rqvf")
+        manifest = save_manifest(DatasetManifest(records),
+                                 tmp_path / "manifest.csv")
+        assert main(["train", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "m.ckpt"), "--set", "train.epochs=1",
+                     "--set", "train.lr_decay_epoch=1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: SidecarShapeError: "
+            f"{tmp_path / 'v1' / 'pixelstats.rqvf'}: keyframe source with "
+            f"count 0\n")
+
     def test_missing_manifest_one_line_error(self, workspace, capsys):
         code = main(["train", "--manifest", "/nonexistent.csv",
                      "--out", str(workspace / "x.ckpt")])

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def edit_header(path, fmt, offset, *values):
     path.write_bytes(bytes(data))
 
 
+def zero_count(path):
+    """Rewrite the sidecar at path as a signed header declaring count 0 and
+    no payload, a file that save_sidecar refuses to write."""
+    data = path.read_bytes()
+    (name_len,) = struct.unpack_from("<H", data, 6)
+    header = bytearray(data[:8 + name_len + 13])
+    struct.pack_into("<I", header, 8 + name_len + 1, 0)
+    path.write_bytes(bytes(header) + struct.pack("<I", zlib.crc32(b"")))
+
+
 class TestSidecarRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -143,6 +154,26 @@ class TestSidecarRoundTrip:
                             tmp_path / "f.rqvf")
         edit_header(path, fmt, offset, *values)
         with pytest.raises(SidecarShapeError, match=f"^{path}: {match}$"):
+            load_sidecar(path)
+
+    @pytest.mark.parametrize("source", [
+        keyframe_source(dim=4),
+        FeatureSource("feat", "tokens", 4, token_count=3),
+        FeatureSource("feat", "chunk", 4),
+    ], ids=lambda s: s.granularity)
+    def test_zero_count_refused(self, tmp_path, source):
+        # a source with no row gives no key-frame count to a sidecar-only
+        # video: the save refuses it, and the load names the file
+        with pytest.raises(SidecarShapeError, match=(
+                f"^feat: 0 rows fit no key-frame count of a "
+                f"{source.granularity} source")):
+            save_sidecar(source, np.ones((0, 4)), tmp_path / "f.rqvf")
+        assert not any(tmp_path.iterdir())
+        path = save_sidecar(source, np.ones((source.rows(1), 4)),
+                            tmp_path / "f.rqvf")
+        zero_count(path)
+        with pytest.raises(SidecarShapeError, match=(
+                f"^{path}: {source.granularity} source with count 0$")):
             load_sidecar(path)
 
     def test_bad_magic(self, tmp_path):

@@ -3,7 +3,8 @@ import json
 import struct
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
+import re
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -911,6 +912,31 @@ MUTATIONS = (
     + [("probability", b) for b in (True, False, "yes", 1)]
     + [("toy", t) for t in (None, *TOY_EXTRACTORS, "lumastats", 0)])
 
+def edit(target, key, value):
+    """target[key] = value, or drop the key when value is DROP."""
+    if value is DROP:
+        target.pop(key, None)
+    else:
+        target[key] = value
+
+
+# (section, key, value) mutations of a fuzzed header's train_config (section
+# "train_config") and seed (section None): values in and out of each key's
+# range, mistyped ones, a dropped key and an added one
+INT_VALUES = (1, 2, 4, 30, 2.5, 4.0, True, "4", None)
+CONFIG_MUTATIONS = (
+    [(None, "seed", v) for v in (0, 7, -1, "x", [1, 2], True, 1.5, None)]
+    + [("train_config", key, v) for key in ("batch_size", "epochs",
+                                            "lr_decay_epoch", "seed",
+                                            "hidden", "mhsa_heads")
+       for v in INT_VALUES]
+    + [("train_config", "learning_rate", v)
+       for v in (1e-3, 0.0, -1.0, "1e-3", True, None)]
+    + [("train_config", "loss", v)
+       for v in ("plcc", "mse", "huber", 5, ["plcc"], None)]
+    + [("train_config", key, DROP) for key in ("learning_rate", "hidden")]
+    + [(None, "seed", DROP), ("train_config", "extra", 1)])
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -1135,35 +1161,72 @@ class TestCheckpoint:
     def test_layout_spec_checked_at_load(self, tmp_path, key, value, match):
         path = self._saved(tmp_path)
         header, body = self._parts(path)
-        spec = header["layout"][2]               # fragmentstats, per video
-        if value is DROP:
-            del spec[key]
-        else:
-            spec[key] = value
+        edit(header["layout"][2], key, value)    # fragmentstats, per video
         with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(self._write(path, header, body))
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train_config", "hidden", 4.0, "hidden must be int, got 4.0"),
+        ("train_config", "epochs", 2.5, "epochs must be int, got 2.5"),
+        ("train_config", "mhsa_heads", True,
+         "mhsa_heads must be int, got True"),
+        ("train_config", "learning_rate", "1e-3",
+         "learning_rate must be float, got '1e-3'"),
+        ("train_config", "loss", ["plcc"], "loss must be str, got ['plcc']"),
+        ("train_config", "hidden", DROP,
+         "train_config does not state every field"),
+        ("train_config", "learning_rate", DROP,      # loaded 1e-5 silently
+         "train_config does not state every field"),
+        (None, "seed", "x", "seed must be int, got 'x'"),
+        (None, "seed", [1, 2], "seed must be int, got [1, 2]"),
+        (None, "seed", True, "seed must be int, got True"),
+        (None, "seed", 1.5, "seed must be int, got 1.5"),
+    ], ids=["hidden-float", "epochs-float", "heads-bool", "lr-str",
+            "loss-list", "hidden-missing", "lr-missing", "seed-str",
+            "seed-list", "seed-bool", "seed-float"])
+    def test_config_and_seed_types_checked_at_load(self, tmp_path, section,
+                                                   key, value, message):
+        path = self._saved(tmp_path)
+        header, body = self._parts(path)
+        edit(header if section is None else header[section], key, value)
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(f'{path}: bad header ({message})')}$")):
             load_checkpoint(self._write(path, header, body))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(MUTATIONS)),
-                    min_size=1, max_size=2))
-    @example([(3, ("dim", 16.0))])           # a float width, per video
-    @example([(0, ("token_count", 4.0))])    # a float token count
-    def test_fuzzed_layout_specs_fail_cleanly(self, fuzz_corpus, mutations):
-        """A mutated layout either fails to load with CheckpointError, or
-        `rqvqa predict` scores the corpus the file was made for, or it
-        exits 1 with one error line; no other exception escapes."""
+                    max_size=2),
+           st.lists(st.sampled_from(CONFIG_MUTATIONS), max_size=2))
+    @example([(3, ("dim", 16.0))], [])       # a float width, per video
+    @example([(0, ("token_count", 4.0))], [])    # a float token count
+    @example([], [("train_config", "hidden", 4.0)])   # a float MLP width
+    @example([], [("train_config", "learning_rate", DROP)])
+    @example([], [("train_config", "epochs", 2.5)])
+    @example([], [("train_config", "mhsa_heads", True)])
+    @example([], [(None, "seed", "x")])
+    @example([], [(None, "seed", [1, 2])])
+    @example([], [(None, "seed", True)])
+    @example([], [(None, "seed", 1.5)])
+    def test_fuzzed_headers_fail_cleanly(self, fuzz_corpus, layout_mutations,
+                                         config_mutations):
+        """A mutated layout, train_config or seed either fails to load with
+        CheckpointError, or loads the values the header states, of the types
+        save_checkpoint writes; then `rqvqa predict` scores the corpus the
+        file was made for, or exits 1 with one error line. No other
+        exception escapes."""
         header, body = self._parts(fuzz_corpus / "m.ckpt")
-        for index, (key, value) in mutations:
-            spec = header["layout"][index]
-            if value is DROP:
-                spec.pop(key, None)
-            else:
-                spec[key] = value
+        for index, (key, value) in layout_mutations:
+            edit(header["layout"][index], key, value)
+        for section, key, value in config_mutations:
+            edit(header if section is None else header[section], key, value)
         path = self._write(fuzz_corpus / "fuzz.ckpt", header, body)
         try:
-            load_checkpoint(path)
+            _, cfg, seed = load_checkpoint(path)
         except CheckpointError:
             return
+        assert (asdict(cfg), seed) == (header["train_config"], header["seed"])
+        assert [type(v) for v in (seed, *astuple(cfg))] == [
+            type(v) for v in (0, *astuple(TrainConfig()))]
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["predict", "--checkpoint", str(path), "--manifest",

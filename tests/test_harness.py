@@ -19,6 +19,7 @@ from rqvqa.fusion import ConcatLayout, TrainConfig, train, video_forward
 from rqvqa.harness import (
     DatasetManifest,
     ManifestRecord,
+    SplitConfig,
     ensemble_predict,
     load_bundles,
     load_manifest,
@@ -163,7 +164,7 @@ class TestExperiment:
     def test_repeat_rows_and_mean(self, small_corpus):
         manifest, _ = small_corpus
         report = run_experiment(manifest, toy_registry(), FAST_TRAIN,
-                                repeats=5, master_seed=4,
+                                SplitConfig(), repeats=5, master_seed=4,
                                 extraction=EXTRACTION)
         assert len(report.rows) == 5
         assert report.mean_srcc == pytest.approx(
@@ -173,10 +174,12 @@ class TestExperiment:
 
     def test_fixed_seed_reproducible(self, small_corpus):
         manifest, _ = small_corpus
-        a = run_experiment(manifest, toy_registry(), FAST_TRAIN, repeats=2,
-                           master_seed=5, extraction=EXTRACTION)
-        b = run_experiment(manifest, toy_registry(), FAST_TRAIN, repeats=2,
-                           master_seed=5, extraction=EXTRACTION)
+        a = run_experiment(manifest, toy_registry(), FAST_TRAIN,
+                           SplitConfig(), repeats=2, master_seed=5,
+                           extraction=EXTRACTION)
+        b = run_experiment(manifest, toy_registry(), FAST_TRAIN,
+                           SplitConfig(), repeats=2, master_seed=5,
+                           extraction=EXTRACTION)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.report.srcc == rb.report.srcc
             assert ra.report.plcc_4pl == rb.report.plcc_4pl
@@ -190,17 +193,28 @@ class TestExperiment:
                            match=r"ratio 0.8 leaves no test video: "
                                  r"ceil\(0.8 \* 2\) = 2 of 2"):
             run_experiment(manifest, toy_registry(), FAST_TRAIN,
-                           ratio=0.8, extraction=EXTRACTION)
+                           SplitConfig(ratio=0.8), extraction=EXTRACTION)
+
+    def test_protocol_sets_every_split(self, small_corpus):
+        # 24 videos in 6 scenes: by video, ceil(0.6 * 24) = 15 train; by
+        # scene it would be ceil(0.6 * 6) = 4 scenes, 16 videos
+        manifest, _ = small_corpus
+        report = run_experiment(manifest, toy_registry(), FAST_TRAIN,
+                                SplitConfig(0.6, "by-video"), repeats=2,
+                                extraction=EXTRACTION)
+        assert [(r.n_train, r.n_test) for r in report.rows] == [(15, 9)] * 2
 
 
-def hand_members(manifest, registry, k_splits, master_seed):
+def hand_members(manifest, registry, k_splits, master_seed,
+                 protocol=SplitConfig()):
     """Scores of every video under k member models trained by hand: split
     seed master_seed + k, training seed master_seed + 100000 + k."""
     bundles = {r.video_id: p for r, p in zip(
         manifest.records, load_bundles(manifest, registry, EXTRACTION))}
     per_model = []
     for k in range(k_splits):
-        plan = split(manifest, seed=master_seed + k)
+        plan = split(manifest, protocol.ratio, protocol.grouping,
+                     seed=master_seed + k)
         subset = [bundles[v] for v in plan.train_ids]
         res = train(subset, registry,
                     replace(FAST_TRAIN, seed=master_seed + 100000 + k))
@@ -215,8 +229,8 @@ class TestEnsemble:
         members, and an unknown name."""
         manifest, _ = small_corpus
         registry = toy_registry()
-        rows = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=3,
-                                master_seed=3, combiner="median",
+        rows = ensemble_predict(manifest, registry, FAST_TRAIN, SplitConfig(),
+                                k_splits=3, master_seed=3, combiner="median",
                                 extraction=EXTRACTION)
         members = hand_members(manifest, registry, 3, 3)
         expected = np.median(members, axis=0)
@@ -226,15 +240,19 @@ class TestEnsemble:
         np.testing.assert_allclose([s for _, s in rows], expected, rtol=0,
                                    atol=1e-12)
         with pytest.raises(ManifestError, match="unknown combiner"):
-            ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=3,
-                             combiner="mode", extraction=EXTRACTION)
+            ensemble_predict(manifest, registry, FAST_TRAIN, SplitConfig(),
+                             k_splits=3, combiner="mode",
+                             extraction=EXTRACTION)
 
     def test_ensemble_matches_hand_average(self, small_corpus):
         manifest, _ = small_corpus
         registry = toy_registry()
-        rows = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=2,
-                                master_seed=6, extraction=EXTRACTION)
-        expected = np.mean(hand_members(manifest, registry, 2, 6), axis=0)
+        protocol = SplitConfig(0.6, "by-video")
+        rows = ensemble_predict(manifest, registry, FAST_TRAIN, protocol,
+                                k_splits=2, master_seed=6,
+                                extraction=EXTRACTION)
+        expected = np.mean(hand_members(manifest, registry, 2, 6, protocol),
+                           axis=0)
         np.testing.assert_allclose([s for _, s in rows], expected, atol=1e-12)
 
     def test_training_manifest_resolved_once(self, small_corpus,
@@ -244,7 +262,8 @@ class TestEnsemble:
         explicitly resolved target."""
         manifest, _ = small_corpus
         registry = toy_registry()
-        explicit = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=2,
+        explicit = ensemble_predict(manifest, registry, FAST_TRAIN,
+                                    SplitConfig(), k_splits=2,
                                     target_manifest=manifest, master_seed=6,
                                     extraction=EXTRACTION)
         resolved, resolve = [], harness.resolve_bundle
@@ -254,8 +273,9 @@ class TestEnsemble:
             return resolve(rec, *args)
 
         monkeypatch.setattr(harness, "resolve_bundle", counting)
-        rows = ensemble_predict(manifest, registry, FAST_TRAIN, k_splits=2,
-                                master_seed=6, extraction=EXTRACTION)
+        rows = ensemble_predict(manifest, registry, FAST_TRAIN, SplitConfig(),
+                                k_splits=2, master_seed=6,
+                                extraction=EXTRACTION)
         assert len(manifest) == 24
         assert resolved == [r.video_id for r in manifest.records]
         assert rows == explicit
@@ -263,7 +283,8 @@ class TestEnsemble:
     def test_k_below_two_rejected(self, small_corpus):
         manifest, _ = small_corpus
         with pytest.raises(ManifestError):
-            ensemble_predict(manifest, toy_registry(), FAST_TRAIN, k_splits=1)
+            ensemble_predict(manifest, toy_registry(), FAST_TRAIN,
+                             SplitConfig(), k_splits=1)
 
 
 class TestPredict:

@@ -1,8 +1,10 @@
 """Byte-level fuzzing of every file reader through the CLI: a mutated
 sidecar, manifest, config file, eval CSV or meta.txt either runs (exit 0) or
 fails with exit 1 and exactly one `error:` line; no other exception escapes.
+An eval that runs must print the oracles' correlations of the rows it read.
 The explicit examples pin inputs that once escaped as tracebacks."""
 
+import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from rqvqa.cli import main
 from rqvqa.features import save_sidecar, toy_registry
 from rqvqa.preproc import VideoFrames, save_raw_video
+
+from test_metrics import brute_pearson, brute_spearman
 
 # op, position (modulo the length), argument: the new byte for replace and
 # insert, the number of copies for repeat
@@ -48,24 +52,27 @@ def mutate(data: bytes, ops) -> bytes:
     return bytes(out)
 
 
-def run_clean(argv) -> int:
-    """main(argv) returns 0, or 1 with exactly one `error:` line."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+def run_clean(argv) -> tuple[int, str]:
+    """(exit code, stdout) of main(argv), which returns 0, or 1 with exactly
+    one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert (code, lines) == (0, []) or (
         code == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (
         code, lines)
-    return code
+    return code, out.getvalue()
 
 
 def fuzz_file(path, ops, argv):
-    """run_clean(argv) with path's bytes mutated by ops; path is restored."""
+    """(mutated bytes, exit code, stdout) of run_clean(argv) with path's
+    bytes mutated by ops; path is restored."""
     original = path.read_bytes()
-    path.write_bytes(mutate(original, ops))
+    data = mutate(original, ops)
+    path.write_bytes(data)
     try:
-        run_clean(argv)
+        return (data, *run_clean(argv))
     finally:
         path.write_bytes(original)
 
@@ -85,7 +92,7 @@ def corpus(tmp_path_factory):
         lines.append(f"v{v},v{v},{v}.0,s{v}")
     (root / "manifest.csv").write_text("\n".join(lines) + "\n")
     assert run_clean(["train", "--manifest", str(root / "manifest.csv"),
-                      "--out", str(root / "m.ckpt")] + TRAIN) == 0
+                      "--out", str(root / "m.ckpt")] + TRAIN)[0] == 0
     (root / "cfg.txt").write_text(
         "# fuzzed settings\nseed = 5\nregistry = toy\ntrain.hidden = 4\n"
         "train.loss = plcc\ngms.grid_count = 4\ngms.all_frames = false\n"
@@ -141,8 +148,22 @@ def test_fuzzed_config(corpus, ops):
 @example([("replace", 15, ord("1")), ("replace", 16, ord("e")),
           ("replace", 17, ord("2")), ("insert", 19, ord("0"))])   # 1e200
 def test_fuzzed_eval_csv(corpus, ops):
-    fuzz_file(corpus / "eval.csv", ops,
-              ["eval", "--pred", str(corpus / "eval.csv")])
+    data, code, out = fuzz_file(corpus / "eval.csv", ops,
+                                ["eval", "--pred", str(corpus / "eval.csv")])
+    if code != 0:
+        return
+    # the rows eval read: non-empty ones, less a non-numeric first row
+    rows = [row for row in csv.reader(io.StringIO(data.decode(), newline=""))
+            if row]
+    try:
+        float(rows[0][0]), float(rows[0][1])
+    except ValueError:
+        rows = rows[1:]
+    pred, mos = ([float(row[i]) for row in rows] for i in (0, 1))
+    printed = dict(line.split("=") for line in out.splitlines())
+    assert int(printed["n"]) == len(rows)
+    for key, oracle in (("srcc", brute_spearman), ("plcc_raw", brute_pearson)):
+        assert abs(float(printed[key]) - oracle(pred, mos)) <= 0.5e-6 + 1e-12, key
 
 
 # byte 6 is the first digit of width=32; the frame files fix the video's size

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqvqa import metrics
 from rqvqa.errors import MetricError
 from rqvqa.fusion import plcc_loss
 from rqvqa.metrics import (
@@ -215,6 +216,16 @@ class TestFourPL:
             mapped = apply_4pl(fit, grid)
             assert np.all(np.diff(mapped) >= 0)
             assert fit.beta1 > fit.beta2
+
+    def test_step_budget_is_a_module_constant(self, monkeypatch):
+        # with no step allowed, the fit returns its documented start
+        rng = np.random.default_rng(3)
+        pred = rng.uniform(-2.0, 2.5, size=50)
+        mos = 3.0 + pred + rng.normal(0.0, 0.1, size=50)
+        monkeypatch.setattr(metrics, "FIT_MAX_ITER", 0)
+        fit = fit_4pl(pred, mos)
+        assert (fit.beta1, fit.beta2, fit.beta3, fit.beta4) == (
+            mos.max(), mos.min(), pred.mean(), pred.std() / 4.0)
 
     def test_decreasing_map_rejected(self):
         with pytest.raises(MetricError, match="not increasing"):

@@ -1,3 +1,6 @@
+from collections import Counter
+from inspect import signature
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,20 @@ class TestCorpus:
         assert len(reloaded) == len(manifest)
         video = load_raw_video(reloaded.records[0].path)
         assert video.frame_count == video.frame_rate * 2
+
+    def test_fixed_geometry(self, small_corpus):
+        # every clip is 2 s of 64x64 frames at 4 fps, in scenes of 4
+        # videos: the desk protocol's 4x4 grid of 8-pixel patches fits it,
+        # and no caller sets another
+        assert list(signature(make_synthetic_corpus).parameters) == [
+            "out_dir", "n_videos", "seed"]
+        manifest, _ = small_corpus
+        for rec in manifest.records:
+            video = load_raw_video(rec.path)
+            assert (video.width, video.height, video.frame_rate,
+                    video.frame_count) == (64, 64, 4, 8)
+        assert set(Counter(r.scene_id for r in manifest.records).values()) \
+            == {4}
 
     def test_mos_formula(self):
         assert synthetic_mos(0, 0, 0) == 5.0
