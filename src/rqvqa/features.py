@@ -166,7 +166,9 @@ def backbone_registry_from_sidecars(
 
 @dataclass
 class FeatureBundle:
-    """Per-video feature matrices keyed by source name (float64 internally)."""
+    """Per-video feature matrices keyed by source name: a sidecar source is
+    load_sidecar's read-only float32 matrix, a toy source float64 as
+    computed; fusion._forward casts the fused rows to float64, exactly."""
 
     video_id: str
     n_keyframes: int
@@ -193,7 +195,9 @@ class FeatureBundle:
                 if np.any(mat < 0):
                     raise FeatureError(
                         f"{source.name}: probability rows must be nonnegative")
-                sums = mat.sum(axis=1)
+                # the float64 copy's sum at any width: a dtype= sum casts
+                # in 8192-value buffers and regroups a wider row's sum
+                sums = np.asarray(mat, dtype=np.float64).sum(axis=1)
                 if np.any(np.abs(sums - 1.0) > 1e-4):
                     bad = int(np.argmax(np.abs(sums - 1.0)))
                     raise FeatureError(
@@ -429,7 +433,7 @@ def assemble_bundle(video: VideoFrames | None,
         sidecar = (sidecar_dir / f"{source.name}.rqvf") if sidecar_dir else None
         if sidecar is not None and sidecar.is_file():
             _, _, _, mat = load_sidecar(sidecar, expect=source)
-            matrices[source.name] = mat.astype(np.float64)
+            matrices[source.name] = mat
         elif source.toy is not None and video is not None:
             try:
                 matrices[source.name] = _toy_matrix(source.toy, video,

@@ -138,8 +138,10 @@ class TrainConfig:
         for f in fields(self):          # type(True) is bool, not int
             if type(value := getattr(self, f.name)) not in kinds[f.type]:
                 raise TrainingError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.learning_rate < 0:
-            raise TrainingError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise TrainingError(
+                f"learning_rate must be finite and >= 0, got "
+                f"{self.learning_rate!r}")
         for name in ("epochs", "hidden", "mhsa_heads"):
             if getattr(self, name) < 1:
                 raise TrainingError(f"{name} must be >= 1")
@@ -244,19 +246,18 @@ def _fuse(bundle: FeatureBundle, layout: ConcatLayout,
 
 
 def _mlp_scores(feats: np.ndarray, mlp: MlpHead):
-    """Scores of n stacked fused rows (n, D) with one GEMM per layer.
+    """Scores of n stacked float64 fused rows (n, D) with one GEMM per layer.
 
     Returns (z, a, scores): pre-activations and activations (n, hidden), and
     the (n,) row scores.
     """
-    f = np.asarray(feats, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != mlp.w1.shape[0]:
+    if feats.ndim != 2 or feats.shape[1] != mlp.w1.shape[0]:
         raise TrainingError(
-            f"feature rows {f.shape} do not match head input width "
+            f"feature rows {feats.shape} do not match head input width "
             f"{mlp.w1.shape[0]}")
-    if not np.all(np.isfinite(f)):
+    if not np.all(np.isfinite(feats)):
         raise TrainingError("non-finite feature vector")
-    z = f @ mlp.w1 + mlp.b1
+    z = feats @ mlp.w1 + mlp.b1
     a = np.maximum(z, 0.0)
     return z, a, a @ mlp.w2 + mlp.b2
 
@@ -285,8 +286,10 @@ def _forward(bundles, head: FusionHead):
             for bundle in bundles]
         stacked, mhsa_cache = mhsa_pool(np.concatenate(grids), head.pool)
         pooled = np.split(stacked, np.cumsum(counts[:-1]))
+    # sidecar sources are float32: the one cast to float64, which is exact
     feats = np.concatenate([_fuse(bundle, layout, rows)
-                            for bundle, rows in zip(bundles, pooled)])
+                            for bundle, rows in zip(bundles, pooled)],
+                           dtype=np.float64)
     z, a, scores = _mlp_scores(feats, head.mlp)
     if not np.isfinite(scores).all():
         raise TrainingError("non-finite scores")

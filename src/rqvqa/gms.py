@@ -9,6 +9,7 @@ compact fragment frame per source frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +34,11 @@ def _cell_edges(length: int, parts: int) -> np.ndarray:
     return edges
 
 
+@lru_cache(maxsize=64)
 def make_plan(width: int, height: int, grid_count: int, patch_size: int,
               seed: int) -> GmsPlan:
-    """Draw one uniform in-cell patch origin per grid cell, deterministically."""
+    """Draw one uniform in-cell patch origin per grid cell, deterministically;
+    memoized, so every video of one geometry shares one read-only plan."""
     if grid_count < 1:
         raise GeometryError(f"grid_count must be >= 1, got {grid_count}")
     if patch_size < 1:
@@ -64,6 +67,7 @@ def make_plan(width: int, height: int, grid_count: int, patch_size: int,
                                     size=(g, g))
     offsets[:, :, 1] = rng.integers(0, (cell_w - patch_size + 1)[None, :],
                                     size=(g, g))
+    bounds.flags.writeable = offsets.flags.writeable = False
     return GmsPlan(grid_count=g, patch_size=patch_size, frame_width=width,
                    frame_height=height, cell_bounds=bounds, offsets=offsets)
 

@@ -283,7 +283,7 @@ def _bundles_by_id(manifest: DatasetManifest,
 
 def run_experiment(manifest: DatasetManifest,
                    registry: Sequence[FeatureSource], cfg: TrainConfig,
-                   protocol: SplitConfig, repeats: int = 1, *,
+                   protocol: SplitConfig, repeats: int, *,
                    master_seed: int = 0,
                    extraction: ExtractionConfig = ExtractionConfig(),
                    ) -> ExperimentReport:
@@ -318,7 +318,7 @@ def run_experiment(manifest: DatasetManifest,
 
 def ensemble_predict(train_manifest: DatasetManifest,
                      registry: Sequence[FeatureSource], cfg: TrainConfig,
-                     protocol: SplitConfig, k_splits: int = 10, *,
+                     protocol: SplitConfig, k_splits: int, *,
                      target_manifest: DatasetManifest | None = None,
                      master_seed: int = 0, combiner: str = "mean",
                      extraction: ExtractionConfig = ExtractionConfig(),

@@ -1,10 +1,13 @@
 import csv
+import json
 import struct
+import zlib
+from inspect import Parameter, signature
 
 import numpy as np
 import pytest
 
-from rqvqa.cli import main
+from rqvqa.cli import build_parser, main
 from rqvqa.features import (
     ExtractionConfig,
     FeatureBundle,
@@ -20,7 +23,9 @@ from rqvqa.gms import make_plan, sample_fragments
 from rqvqa.harness import (
     DatasetManifest,
     ManifestRecord,
+    ensemble_predict,
     load_manifest,
+    run_experiment,
     save_manifest,
 )
 from rqvqa.preproc import (
@@ -435,7 +440,45 @@ class TestEnsembleCommand:
         assert len(rows) == 25
 
 
+def test_run_sizes_default_in_the_parser_only():
+    parse = build_parser().parse_args
+    assert parse(["experiment", "--manifest", "m"]).repeats == 5
+    assert parse(["ensemble", "--train-manifest", "m", "--out", "o"]).k == 10
+    for function, size in ((run_experiment, "repeats"),
+                           (ensemble_predict, "k_splits")):
+        assert signature(function).parameters[size].default is Parameter.empty
+
+
 class TestErrors:
+    def test_non_finite_learning_rate_names_the_key(self, workspace, capsys):
+        manifest = str(workspace / "corpus" / "manifest.csv")
+        ckpt = workspace / "lr.ckpt"
+        args = ["--config", str(workspace / "cfg.txt")]
+        message = "learning_rate must be finite and >= 0, got nan"
+        assert main(["train", "--manifest", manifest, "--out", str(ckpt),
+                     "--set", "train.learning_rate=nan", *args]) == 1
+        assert capsys.readouterr().err == f"error: TrainingError: {message}\n"
+        assert not ckpt.exists()
+        # the same value in a re-signed checkpoint header (json reads NaN)
+        assert main(["train", "--manifest", manifest, "--out", str(ckpt),
+                     "--set", "train.epochs=1", "--set",
+                     "train.lr_decay_epoch=1", *args]) == 0
+        data = ckpt.read_bytes()
+        (size,) = struct.unpack_from("<I", data, 6)
+        header = json.loads(data[10:10 + size])
+        header["train_config"]["learning_rate"] = float("nan")
+        blob = json.dumps(header).encode()
+        signed = data[4:6] + struct.pack("<I", len(blob)) + blob + \
+            data[10 + size:-4]
+        ckpt.write_bytes(b"RQVC" + signed + struct.pack("<I",
+                                                        zlib.crc32(signed)))
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", str(ckpt), "--manifest",
+                     manifest, "--out", str(workspace / "lr.csv"),
+                     *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: CheckpointError: {ckpt}: bad header ({message})\n")
+
     def test_zero_row_sidecar_names_its_file(self, tmp_path, capsys):
         # a sidecar-only toy corpus whose v1 key-frame and chunk sidecars
         # hold no row; the first one read names itself

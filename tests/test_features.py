@@ -17,6 +17,7 @@ from rqvqa.errors import (
 )
 from rqvqa.features import (
     ExtractionConfig,
+    FeatureBundle,
     FeatureSource,
     assemble_bundle,
     backbone_registry,
@@ -32,6 +33,7 @@ from rqvqa.synthetic import gaussian_blur
 
 import toy_oracle
 from conftest import make_video
+from test_fusion import sidecar_bundles
 
 EXTRACTION = ExtractionConfig(gms_grid_count=4, gms_patch_size=4, gms_seed=0)
 
@@ -474,6 +476,39 @@ class TestAssembleBundle:
                                  extraction=EXTRACTION)
         np.testing.assert_array_equal(bundle.matrices["pixelstats"],
                                       override.astype(np.float64))
+
+    @pytest.mark.parametrize("spatial_tokens", [0, 4])
+    def test_sidecar_matrices_stay_float32(self, tmp_path, spatial_tokens):
+        # load_sidecar's read-only view, 4 bytes a value, not a float64 copy
+        registry, bundles, _, _ = sidecar_bundles(tmp_path, spatial_tokens)
+        for bundle in bundles:
+            for source in registry:
+                mat = bundle.matrices[source.name]
+                assert mat.dtype == np.float32
+                assert mat.nbytes == (
+                    4 * source.rows(bundle.n_keyframes) * source.dim)
+                assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("rows, message", [
+        # float32 accumulation of this row reaches 1.0001, past the 1e-4
+        # tolerance; its float64 sum, 1.0000999868, is inside it
+        ([[0.2, 0.2, 0.6001]], None),
+        ([[0.2, 0.2, 0.6001], [0.2, 0.2, 0.6002]],
+         "probs: probability rows must sum to 1 (row 1 sums to 1.000200)"),
+    ], ids=["inside", "outside"])
+    def test_probability_verdict_same_as_float64_copy(self, rows, message):
+        probs = FeatureSource("probs", "keyframe", 3, probability=True)
+        mat = np.array(rows, dtype=np.float32)
+        assert mat[0].sum() == np.float32(1.0001)
+        verdicts = []
+        for matrix in (mat, mat.astype(np.float64)):
+            bundle = FeatureBundle("v", len(rows), {"probs": matrix})
+            try:
+                bundle.validate((probs,))
+                verdicts.append(None)
+            except FeatureError as exc:
+                verdicts.append(str(exc))
+        assert verdicts == [message, message]
 
     def test_missing_source_listed(self, video):
         registry = (

@@ -19,6 +19,7 @@ from rqvqa.features import (
     TOY_EXTRACTORS,
     FeatureBundle,
     FeatureSource,
+    assemble_bundle,
     backbone_registry,
     save_sidecar,
 )
@@ -768,6 +769,12 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(affine_dataset(n=1), toy_training_registry(), TrainConfig())
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-5])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        message = f"learning_rate must be finite and >= 0, got {lr!r}"
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
+            TrainConfig(learning_rate=lr)
+
 
 def token_registry(d=8, t=4):
     return (
@@ -896,6 +903,63 @@ class TestAttentionPoolTraining:
         head.pool = None
         with pytest.raises(TrainingError, match="attention pool"):
             video_forward(token_bundle(), head)
+
+
+def sidecar_bundles(root, spatial_tokens, n=8):
+    """Sidecar-resolved bundles of 1-8 key frames at small backbone widths,
+    their float64 copies, the registry and the videos' MOS."""
+    registry = backbone_registry(spatial_dim=16, temporal_dim=8, lmm_dim=12,
+                                 spatiotemporal_dim=10,
+                                 spatial_tokens=spatial_tokens)
+    rng = np.random.default_rng(spatial_tokens + 11)
+    bundles = []
+    for v in range(n):
+        for source in registry:
+            rows = rng.uniform(0.0, 1.0, (source.rows(1 + v), source.dim))
+            if source.probability:
+                rows /= rows.sum(axis=1, keepdims=True)
+            save_sidecar(source, rows, root / f"v{v}" / f"{source.name}.rqvf")
+        bundles.append(assemble_bundle(None, registry, root / f"v{v}",
+                                       video_id=f"v{v}"))
+    copies = [FeatureBundle(b.video_id, b.n_keyframes, {
+        name: mat.astype(np.float64) for name, mat in b.matrices.items()})
+        for b in bundles]
+    return registry, bundles, copies, [float(v % 3) for v in range(n)]
+
+
+@pytest.mark.parametrize("spatial_tokens", [0, 4], ids=["pooled", "tokens"])
+class TestFloat32Sidecars:
+    """A sidecar source stays float32 in its bundle, and _forward casts the
+    fused rows to float64 exactly, so every output equals that of a float64
+    copy of the bundle, bit for bit."""
+
+    def test_forward_and_gradients_match_float64_copy(self, tmp_path,
+                                                      spatial_tokens):
+        registry, bundles, copies, mos = sidecar_bundles(tmp_path,
+                                                         spatial_tokens)
+        assert bundles[0].matrices["spatial"].dtype == np.float32
+        head = build_head(ConcatLayout.from_registry(registry),
+                          TrainConfig(hidden=8, mhsa_heads=2), seed=1)
+        for bundle, copy in zip(bundles, copies):
+            assert video_forward(bundle, head) == video_forward(copy, head)
+        _, grads = backprop(list(zip(bundles, mos)), head)
+        _, expected = backprop(list(zip(copies, mos)), head)
+        assert set(grads) == set(expected)
+        for key in grads:
+            assert grads[key].tobytes() == expected[key].tobytes(), key
+
+    def test_checkpoint_bytes_match_float64_copy(self, tmp_path,
+                                                 spatial_tokens):
+        registry, bundles, copies, mos = sidecar_bundles(tmp_path,
+                                                         spatial_tokens)
+        assert bundles[0].matrices["spatial"].dtype == np.float32
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2,
+                          lr_decay_epoch=1, hidden=8, mhsa_heads=2, seed=3)
+        saved = [save_checkpoint(tmp_path / f"{name}.ckpt",
+                                 train(list(zip(data, mos)), registry,
+                                       cfg).head, cfg, 0)
+                 for name, data in (("f32", bundles), ("f64", copies))]
+        assert saved[0].read_bytes() == saved[1].read_bytes()
 
 
 # (key, value) mutations of a fuzzed layout spec: values in and out of each
@@ -1172,6 +1236,8 @@ class TestCheckpoint:
          "mhsa_heads must be int, got True"),
         ("train_config", "learning_rate", "1e-3",
          "learning_rate must be float, got '1e-3'"),
+        ("train_config", "learning_rate", float("nan"),   # json reads NaN
+         "learning_rate must be finite and >= 0, got nan"),
         ("train_config", "loss", ["plcc"], "loss must be str, got ['plcc']"),
         ("train_config", "hidden", DROP,
          "train_config does not state every field"),
@@ -1182,7 +1248,7 @@ class TestCheckpoint:
         (None, "seed", True, "seed must be int, got True"),
         (None, "seed", 1.5, "seed must be int, got 1.5"),
     ], ids=["hidden-float", "epochs-float", "heads-bool", "lr-str",
-            "loss-list", "hidden-missing", "lr-missing", "seed-str",
+            "lr-nan", "loss-list", "hidden-missing", "lr-missing", "seed-str",
             "seed-list", "seed-bool", "seed-float"])
     def test_config_and_seed_types_checked_at_load(self, tmp_path, section,
                                                    key, value, message):

@@ -30,10 +30,20 @@ class TestMakePlan:
             make_plan(64, 64, grid_count=7, patch_size=32, seed=0)
 
     def test_same_seed_same_plan(self):
-        a = make_plan(300, 200, grid_count=3, patch_size=20, seed=42)
-        b = make_plan(300, 200, grid_count=3, patch_size=20, seed=42)
+        # two fresh draws, past the memo
+        a = make_plan.__wrapped__(300, 200, 3, 20, 42)
+        b = make_plan.__wrapped__(300, 200, 3, 20, 42)
+        assert a is not b
         np.testing.assert_array_equal(a.offsets, b.offsets)
         np.testing.assert_array_equal(a.cell_bounds, b.cell_bounds)
+
+    def test_plan_built_once_per_geometry_and_read_only(self):
+        plan = make_plan(64, 64, 4, 8, 0)
+        assert make_plan(64, 64, 4, 8, 0) is plan
+        assert make_plan(64, 64, 4, 8, 1) is not plan
+        for array in (plan.offsets, plan.cell_bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1
 
     def test_remainder_pixels_go_to_trailing_cells(self):
         plan = make_plan(100, 70, grid_count=3, patch_size=20, seed=0)

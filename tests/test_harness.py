@@ -193,7 +193,8 @@ class TestExperiment:
                            match=r"ratio 0.8 leaves no test video: "
                                  r"ceil\(0.8 \* 2\) = 2 of 2"):
             run_experiment(manifest, toy_registry(), FAST_TRAIN,
-                           SplitConfig(ratio=0.8), extraction=EXTRACTION)
+                           SplitConfig(ratio=0.8), repeats=1,
+                           extraction=EXTRACTION)
 
     def test_protocol_sets_every_split(self, small_corpus):
         # 24 videos in 6 scenes: by video, ceil(0.6 * 24) = 15 train; by
