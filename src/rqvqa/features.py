@@ -319,12 +319,22 @@ def toy_pixelstats(frames: np.ndarray) -> np.ndarray:
     4-neighbour luma Laplacian (2; zeros below 3x3), and an 8-bin histogram
     of luma over [0, 256] (8). The 32-wide bins make the bin index
     floor(y / 32) exact, so one bincount replaces a histogram per frame.
+    Each channel sum is the last running sum over a contiguous (n, 3, H*W)
+    copy: it adds in pixel order, as mean/std(axis=1) over (n, H*W, 3) do,
+    so the bytes are theirs (a pairwise .sum() would move them).
     """
     f = np.asarray(frames, dtype=np.float64)
     n = f.shape[0]
-    pixels = f.reshape(n, -1, 3)
-    means = pixels.mean(axis=1) / 255.0
-    stds = pixels.std(axis=1) / 127.5
+    # a copy even when the transpose is contiguous: it is overwritten below
+    dev = f.reshape(n, -1, 3).transpose(0, 2, 1).copy()
+    count = dev.shape[2]
+    run = np.cumsum(dev, axis=2)
+    mean = run[:, :, -1:] / count
+    dev -= mean
+    dev *= dev
+    np.cumsum(dev, axis=2, out=run)
+    means = mean[:, :, 0] / 255.0
+    stds = np.sqrt(run[:, :, -1] / count) / 127.5
 
     y = f @ _LUMA
     if not (y.min() >= 0.0 and y.max() <= 256.0):

@@ -24,7 +24,7 @@ from .errors import CheckpointError, FeatureError, TrainingError
 from .features import ROLE_ORDER, FeatureBundle, FeatureSource
 
 EPS_NORM = 1e-8  # stabilizer added to each norm in the correlation loss
-ADAM_BLOCK = 8192  # elements per in-place Adam block (64 KiB of float64)
+ADAM_BLOCK = 32768  # elements per in-place Adam block (256 KiB of float64)
 # the paper trains with plain Adam and one 10x learning-rate drop, so these
 # are constants, not configuration
 ADAM_BETA1 = 0.9
@@ -119,6 +119,21 @@ class FusionHead:
     layout: ConcatLayout
     mlp: MlpHead
     pool: MhsaPool | None = None
+
+
+class FlatTensors(dict):
+    """Name -> tensor, each a view of one contiguous float64 vector, `flat`,
+    in sorted-name order as the checkpoint stores them; zeros unless `flat`
+    is given. Adam updates the whole vector with no loop over tensors."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]],
+                 flat: np.ndarray | None = None):
+        names = sorted(shapes)
+        sizes = [math.prod(shapes[name]) for name in names]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        super().__init__(
+            (name, part.reshape(shapes[name])) for name, part in
+            zip(names, np.split(self.flat, np.cumsum(sizes)[:-1])))
 
 
 @dataclass(frozen=True)
@@ -358,9 +373,9 @@ LOSSES = {"plcc": (plcc_loss, plcc_loss_grad),
 # Backprop
 
 
-def _zeros_like_params(params):
-    """C-ordered zeros shaped like params, whatever the params' order."""
-    return {k: np.zeros_like(v, order="C") for k, v in params.items()}
+def _zeros_like_params(params) -> FlatTensors:
+    """Zero FlatTensors shaped like params."""
+    return FlatTensors({k: np.shape(v) for k, v in params.items()})
 
 
 def _head_from_params(layout, params):
@@ -429,46 +444,41 @@ def backprop(batch, head: FusionHead, loss: str = "plcc", grads=None):
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: FlatTensors
+    v: FlatTensors
 
     @classmethod
     def zeros(cls, params) -> "AdamState":
         return cls(m=_zeros_like_params(params), v=_zeros_like_params(params))
 
 
-def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
-              epoch: int = 0):
+def adam_step(params: FlatTensors, grads: FlatTensors, state: AdamState,
+              t: int, cfg: TrainConfig, epoch: int = 0):
     """One bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS); lr
     drops LR_DECAY_FACTOR-fold once epoch >= lr_decay_epoch.
 
-    params, state.m and state.v are updated in place and returned as
-    (params, state). Each element goes through the same operations, in the
-    same order, as p - lr * m_hat / (sqrt(v_hat) + eps) with
-    m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g,
-    so the result is bit-identical to that out-of-place formula.
+    params, grads, state.m and state.v hold the same shapes; params and the
+    moments are updated in place and returned as (params, state). Each
+    element goes through the same operations, in the same order, as
+    p - lr * m_hat / (sqrt(v_hat) + eps) with m = beta1 * m + (1 - beta1) * g
+    and v = beta2 * v + (1 - beta2) * g * g, so the result is bit-identical
+    to that out-of-place formula.
     """
     if t < 1:
         raise TrainingError(f"step index must be >= 1, got {t}")
-    for k, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {k!r}")
+    if not np.isfinite(grads.flat).all():
+        bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
+        raise TrainingError(f"non-finite gradient for {bad!r}")
     lr = cfg.learning_rate
     if epoch >= cfg.lr_decay_epoch:
         lr /= LR_DECAY_FACTOR
     bias1, bias2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-    for k, p in params.items():
-        # blocks of ADAM_BLOCK elements keep the scratch buffers small, so no
-        # large temporary is allocated (and page-faulted in) on every step
-        blocks = np.nditer(
-            [p, grads[k], state.m[k], state.v[k]],
-            flags=["external_loop", "buffered", "zerosize_ok"],
-            op_flags=[["readwrite"], ["readonly"], ["readwrite"],
-                      ["readwrite"]],
-            buffersize=ADAM_BLOCK)
-        with blocks:
-            for block in blocks:
-                _adam_update(*block, lr, bias1, bias2)
+    vectors = (params.flat, grads.flat, state.m.flat, state.v.flat)
+    # blocks of ADAM_BLOCK elements keep the scratch buffers small, so no
+    # large temporary is allocated (and page-faulted in) on every step
+    for start in range(0, params.flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        _adam_update(*(vec[block] for vec in vectors), lr, bias1, bias2)
     return params, state
 
 
@@ -527,17 +537,18 @@ def param_shapes(layout: ConcatLayout, hidden: int,
 
 
 def init_params(layout: ConcatLayout, cfg: TrainConfig,
-                rng: np.random.Generator) -> dict[str, np.ndarray]:
+                rng: np.random.Generator) -> FlatTensors:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases;
-    fan_in is axis 0 of every weight."""
-    params = {}
-    for key, shape in param_shapes(layout, cfg.hidden,
-                                   cfg.mhsa_heads).items():
-        if key.startswith("b"):
-            params[key] = np.zeros(shape)
-        else:
+    fan_in is axis 0 of every weight. Each weight is drawn in place, in
+    param_shapes order, as -b + 2b * u: the bits of rng.uniform(-b, b)."""
+    shapes = param_shapes(layout, cfg.hidden, cfg.mhsa_heads)
+    params = FlatTensors(shapes)
+    for key, shape in shapes.items():
+        if not key.startswith("b"):
             bound = 1.0 / np.sqrt(shape[0])
-            params[key] = rng.uniform(-bound, bound, size=shape)
+            rng.random(out=params[key])
+            params[key] *= 2.0 * bound
+            params[key] += -bound
     return params
 
 
@@ -668,13 +679,10 @@ def load_checkpoint(path: str | Path):
         raise CheckpointError(f"{path}: bad header ({exc})") from None
 
     body = view[10 + header_len:-4]
-    names = sorted(shapes)
-    sizes = [math.prod(shapes[name]) for name in names]
-    if len(body) != 8 * sum(sizes):
+    size = sum(math.prod(shape) for shape in shapes.values())
+    if len(body) != 8 * size:
         raise CheckpointError(
-            f"{path}: {len(body)} tensor bytes, expected {8 * sum(sizes)} for "
+            f"{path}: {len(body)} tensor bytes, expected {8 * size} for "
             f"the layout, hidden={cfg.hidden} and mhsa_heads={cfg.mhsa_heads}")
-    flat = np.frombuffer(body, dtype="<f8").copy()
-    tensors = {name: part.reshape(shapes[name]) for name, part in
-               zip(names, np.split(flat, np.cumsum(sizes)[:-1]))}
+    tensors = FlatTensors(shapes, np.frombuffer(body, dtype="<f8").copy())
     return _head_from_params(layout, tensors), cfg, header["seed"]

@@ -283,10 +283,8 @@ def _bundles_by_id(manifest: DatasetManifest,
 
 def run_experiment(manifest: DatasetManifest,
                    registry: Sequence[FeatureSource], cfg: TrainConfig,
-                   protocol: SplitConfig, repeats: int, *,
-                   master_seed: int = 0,
-                   extraction: ExtractionConfig = ExtractionConfig(),
-                   ) -> ExperimentReport:
+                   protocol: SplitConfig, repeats: int, *, master_seed: int,
+                   extraction: ExtractionConfig) -> ExperimentReport:
     """Train/evaluate on `repeats` seeded splits and average the criteria."""
     if repeats < 1:
         raise ManifestError(f"repeats must be >= 1, got {repeats}")
@@ -319,10 +317,9 @@ def run_experiment(manifest: DatasetManifest,
 def ensemble_predict(train_manifest: DatasetManifest,
                      registry: Sequence[FeatureSource], cfg: TrainConfig,
                      protocol: SplitConfig, k_splits: int, *,
+                     master_seed: int, extraction: ExtractionConfig,
                      target_manifest: DatasetManifest | None = None,
-                     master_seed: int = 0, combiner: str = "mean",
-                     extraction: ExtractionConfig = ExtractionConfig(),
-                     ) -> list[tuple[str, float]]:
+                     combiner: str = "mean") -> list[tuple[str, float]]:
     """Train k models on k seeded splits and combine their predictions.
 
     Scores are produced for target_manifest (default: the training manifest

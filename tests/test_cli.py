@@ -444,9 +444,12 @@ def test_run_sizes_default_in_the_parser_only():
     parse = build_parser().parse_args
     assert parse(["experiment", "--manifest", "m"]).repeats == 5
     assert parse(["ensemble", "--train-manifest", "m", "--out", "o"]).k == 10
+    # the seed and the extraction come from the config alone
     for function, size in ((run_experiment, "repeats"),
                            (ensemble_predict, "k_splits")):
-        assert signature(function).parameters[size].default is Parameter.empty
+        for name in (size, "master_seed", "extraction"):
+            assert (signature(function).parameters[name].default
+                    is Parameter.empty), name
 
 
 class TestErrors:

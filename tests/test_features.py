@@ -370,6 +370,32 @@ class TestToyPixelstats:
         assert sharp_vec[6] == pytest.approx(brute_lap_mean(frame) / 1020.0)
         assert blur_vec[6] == pytest.approx(brute_lap_mean(blurred) / 1020.0)
 
+    @pytest.mark.parametrize("kind", [
+        "uint8-1x1", "uint8-2x5", "uint8-24x17", "temporal-mean-frame",
+        "uniform-float", "uniform-float-1x1"])
+    def test_channel_moments_equal_the_strided_formula(self, kind):
+        # uniform floats are the case where a pairwise sum of the contiguous
+        # channel rows moves the last bits; integer pixels hide it
+        rng = np.random.default_rng(21)
+        if kind.startswith("uint8"):
+            h, w = map(int, kind.split("-")[1].split("x"))
+            frames = rng.integers(0, 256, size=(3, h, w, 3), dtype=np.uint8)
+        elif kind == "temporal-mean-frame":
+            volume = rng.integers(0, 256, size=(7, 16, 16, 3), dtype=np.uint8)
+            frames = volume.astype(np.float64).mean(axis=0)[None]
+        elif kind == "uniform-float":
+            frames = rng.uniform(0.0, 255.0, size=(4, 32, 32, 3))
+        else:
+            frames = rng.uniform(0.0, 255.0, size=(2, 1, 1, 3))
+        before = frames.copy()
+        pixels = frames.reshape(len(frames), -1, 3).astype(np.float64)
+        v = toy_pixelstats(frames)
+        assert v[:, 0:3].tobytes() == (pixels.mean(axis=1) / 255.0).tobytes()
+        assert v[:, 3:6].tobytes() == (pixels.std(axis=1) / 127.5).tobytes()
+        # the running sums work on a copy, even where the channel-major
+        # transpose is already contiguous (one float64 pixel per frame)
+        assert frames.tobytes() == before.tobytes()
+
     def test_determinism(self):
         rng = np.random.default_rng(5)
         frames = rng.integers(0, 256, size=(4, 12, 9, 3), dtype=np.uint8)

@@ -24,9 +24,11 @@ from rqvqa.features import (
     save_sidecar,
 )
 from rqvqa.fusion import (
+    ADAM_BLOCK,
     CHECKPOINT_VERSION,
     AdamState,
     ConcatLayout,
+    FlatTensors,
     FusionHead,
     MhsaPool,
     MlpHead,
@@ -599,11 +601,19 @@ def textbook_adam(params, grads, m, v, t, cfg, epoch):
     return new_p, new_m, new_v
 
 
+def flat_tensors(values):
+    """FlatTensors holding a copy of each array of values."""
+    tensors = FlatTensors({k: np.shape(v) for k, v in values.items()})
+    for k, v in values.items():
+        tensors[k][...] = v
+    return tensors
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = flat_tensors({"w": np.array([1.0, -2.0])})
         before = params["w"].copy()
-        grads = {"w": np.zeros(2)}
+        grads = flat_tensors({"w": np.zeros(2)})
         cfg = TrainConfig()
         new_params, _ = adam_step(params, grads, AdamState.zeros(params),
                                   t=1, cfg=cfg)
@@ -617,49 +627,53 @@ class TestAdam:
         assert np.all(new_state.v["w"] < 0.5)
 
     def test_updates_in_place(self):
-        params = {"w": np.array([1.0, -2.0]), "b": np.zeros(())}
-        grads = {"w": np.array([0.5, 0.25]), "b": np.asarray(-1.0)}
+        params = flat_tensors({"w": np.array([1.0, -2.0]), "b": np.zeros(())})
+        grads = flat_tensors({"w": np.array([0.5, 0.25]),
+                              "b": np.asarray(-1.0)})
         state = AdamState.zeros(params)
-        arrays = [params["w"], params["b"], state.m["w"], state.v["b"]]
+        arrays = [params["w"], params["b"], state.m["w"], state.v["b"],
+                  params.flat, state.m.flat, state.v.flat]
         new_params, new_state = adam_step(params, grads, state, t=1,
                                           cfg=TrainConfig(learning_rate=1e-3))
         assert new_params is params and new_state is state
-        after = [params["w"], params["b"], state.m["w"], state.v["b"]]
+        after = [params["w"], params["b"], state.m["w"], state.v["b"],
+                 params.flat, state.m.flat, state.v.flat]
         assert all(a is b for a, b in zip(arrays, after))
         assert np.all(params["w"] < [1.0, -2.0]) and params["b"] > 0.0
         np.testing.assert_array_equal(grads["w"], [0.5, 0.25])
 
     def test_single_step_from_zero_state(self):
         g = np.array([0.3, -2.0, 0.0001])
-        params = {"w": np.zeros(3)}
+        params = flat_tensors({"w": np.zeros(3)})
         cfg = TrainConfig(learning_rate=1e-3)
-        new_params, _ = adam_step(params, {"w": g}, AdamState.zeros(params),
-                                  t=1, cfg=cfg)
+        new_params, _ = adam_step(params, flat_tensors({"w": g}),
+                                  AdamState.zeros(params), t=1, cfg=cfg)
         expected = -1e-3 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(new_params["w"], expected, rtol=1e-12)
 
     def test_lr_decay_at_epoch_threshold(self):
-        g = np.array([1.0])
-        params = {"w": np.zeros(1)}
+        grads = flat_tensors({"w": np.array([1.0])})
         cfg = TrainConfig(learning_rate=1e-5)
-        stepped, _ = adam_step(params, {"w": g}, AdamState.zeros(params),
+        params = flat_tensors({"w": np.zeros(1)})
+        stepped, _ = adam_step(params, grads, AdamState.zeros(params),
                                t=1, cfg=cfg, epoch=10)
         # effective lr 1e-6 once epoch >= 10
         assert stepped["w"][0] == pytest.approx(-1e-6, rel=1e-6)
-        params = {"w": np.zeros(1)}
-        stepped, _ = adam_step(params, {"w": g}, AdamState.zeros(params),
+        params = flat_tensors({"w": np.zeros(1)})
+        stepped, _ = adam_step(params, grads, AdamState.zeros(params),
                                t=1, cfg=cfg, epoch=9)
         assert stepped["w"][0] == pytest.approx(-1e-5, rel=1e-6)
 
     def test_bit_identical_to_out_of_place_formula(self):
         rng = np.random.default_rng(11)
-        shapes = {"w1": (7, 5), "b1": (5,), "b2": ()}
+        # "w2" crosses an ADAM_BLOCK boundary of the flat vector
+        shapes = {"w1": (7, 5), "w2": (ADAM_BLOCK + 3,), "b1": (5,),
+                  "b2": ()}
         # weights on the scale of one step, so a last-bit change in the
         # step survives the subtraction
-        params = {k: np.asarray(rng.standard_normal(s) * 1e-3)
-                  for k, s in shapes.items()}
-        # a column-major tensor must be updated in place all the same
-        params["w1"] = np.asfortranarray(params["w1"])
+        params = flat_tensors({k: rng.standard_normal(s) * 1e-3
+                               for k, s in shapes.items()})
+        assert params.flat.size > ADAM_BLOCK + 3
         cfg = TrainConfig(learning_rate=3e-3, epochs=4, lr_decay_epoch=2)
         state = AdamState.zeros(params)
         ref_p = {k: p.copy() for k, p in params.items()}
@@ -667,9 +681,8 @@ class TestAdam:
         ref_v = {k: v.copy() for k, v in state.v.items()}
         # steps 1-2 before the decay epoch, 3-4 after it
         for t, epoch in ((1, 0), (2, 1), (3, 2), (4, 3)):
-            grads = {k: rng.standard_normal(s) * 10.0 ** -t
-                     for k, s in shapes.items()}
-            grads["b2"] = np.asarray(grads["b2"])
+            grads = flat_tensors({k: rng.standard_normal(s) * 10.0 ** -t
+                                  for k, s in shapes.items()})
             ref_p, ref_m, ref_v = textbook_adam(ref_p, grads, ref_m, ref_v,
                                                 t, cfg, epoch)
             adam_step(params, grads, state, t, cfg, epoch=epoch)
@@ -678,11 +691,34 @@ class TestAdam:
                 assert state.m[k].tobytes() == ref_m[k].tobytes()
                 assert state.v[k].tobytes() == ref_v[k].tobytes()
 
+    def test_tensors_are_views_of_the_flat_vector(self):
+        layout = ConcatLayout.from_registry(token_registry())
+        params = init_params(layout, TrainConfig(hidden=8, mhsa_heads=2),
+                             np.random.default_rng(0))
+        assert params.flat.flags.c_contiguous
+        # sorted-name order, as the checkpoint stores the tensors
+        assert list(params) == sorted(param_shapes(layout, 8, 2))
+        assert params.flat.tobytes() == b"".join(
+            params[k].tobytes() for k in sorted(params))
+        params["w1"][2, 3] = 7.5
+        start = params["b1"].size + params["b2"].size  # b1, b2 sort first
+        offset = np.ravel_multi_index((2, 3), params["w1"].shape)
+        assert params.flat[start + offset] == 7.5
+        for key, tensor in params.items():
+            assert np.shares_memory(tensor, params.flat), key
+
     def test_non_finite_gradient_rejected(self):
-        params = {"w": np.zeros(1)}
-        with pytest.raises(TrainingError):
-            adam_step(params, {"w": np.array([np.nan])},
-                      AdamState.zeros(params), t=1, cfg=TrainConfig())
+        # the check runs once over the flat vector, and names the tensor
+        params = flat_tensors({"w1": np.zeros((2, 3)), "w2": np.zeros(4),
+                               "b2": np.zeros(())})
+        for bad in (np.nan, np.inf):
+            grads = AdamState.zeros(params).m
+            grads["w2"][1] = bad
+            with pytest.raises(TrainingError,
+                               match="^non-finite gradient for 'w2'$"):
+                adam_step(params, grads, AdamState.zeros(params), t=1,
+                          cfg=TrainConfig())
+            assert not params.flat.any()
 
     def test_config_validation(self):
         with pytest.raises(TrainingError):

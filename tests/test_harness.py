@@ -193,7 +193,7 @@ class TestExperiment:
                            match=r"ratio 0.8 leaves no test video: "
                                  r"ceil\(0.8 \* 2\) = 2 of 2"):
             run_experiment(manifest, toy_registry(), FAST_TRAIN,
-                           SplitConfig(ratio=0.8), repeats=1,
+                           SplitConfig(ratio=0.8), repeats=1, master_seed=0,
                            extraction=EXTRACTION)
 
     def test_protocol_sets_every_split(self, small_corpus):
@@ -202,7 +202,7 @@ class TestExperiment:
         manifest, _ = small_corpus
         report = run_experiment(manifest, toy_registry(), FAST_TRAIN,
                                 SplitConfig(0.6, "by-video"), repeats=2,
-                                extraction=EXTRACTION)
+                                master_seed=0, extraction=EXTRACTION)
         assert [(r.n_train, r.n_test) for r in report.rows] == [(15, 9)] * 2
 
 
@@ -242,7 +242,7 @@ class TestEnsemble:
                                    atol=1e-12)
         with pytest.raises(ManifestError, match="unknown combiner"):
             ensemble_predict(manifest, registry, FAST_TRAIN, SplitConfig(),
-                             k_splits=3, combiner="mode",
+                             k_splits=3, master_seed=0, combiner="mode",
                              extraction=EXTRACTION)
 
     def test_ensemble_matches_hand_average(self, small_corpus):
@@ -285,7 +285,8 @@ class TestEnsemble:
         manifest, _ = small_corpus
         with pytest.raises(ManifestError):
             ensemble_predict(manifest, toy_registry(), FAST_TRAIN,
-                             SplitConfig(), k_splits=1)
+                             SplitConfig(), k_splits=1, master_seed=0,
+                             extraction=EXTRACTION)
 
 
 class TestPredict:
