@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: preprocess, gms, features, train, predict, eval, ensemble,
+Subcommands: gms, features, train, predict, eval, ensemble,
 experiment, synth. Every command but eval and synth accepts --config FILE
 and repeated --set key=value overrides. Failures exit nonzero with a single
 machine-parsable line on stderr: `error: <kind>: <message>`.
@@ -12,8 +12,6 @@ import argparse
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
@@ -35,16 +33,7 @@ from .harness import (
     write_predictions,
 )
 from .metrics import evaluate
-from .preproc import (
-    VideoFrames,
-    crop,
-    extract_chunks,
-    extract_key_frames,
-    load_raw_video,
-    resize_exact,
-    resize_min_side,
-    save_raw_video,
-)
+from .preproc import VideoFrames, load_raw_video, save_raw_video
 from .synthetic import make_synthetic_corpus
 
 
@@ -72,34 +61,6 @@ def _manifest_and_registry(cfg: RunConfig, path: str):
 def cmd_synth(args) -> int:
     manifest = make_synthetic_corpus(args.out, args.n, args.seed)
     print(f"wrote {len(manifest)} videos under {args.out}")
-    return 0
-
-
-def cmd_preprocess(args) -> int:
-    cfg = _config(args)
-    pp = cfg.preproc
-    video = load_raw_video(args.video)
-    keys = extract_key_frames(video)
-    chunks = extract_chunks(video)
-
-    out = Path(args.out)
-    cropped = []
-    for i, frame in enumerate(keys):
-        resized = resize_min_side(frame, pp.keyframe_min_side)
-        seed = pp.crop_seed + i if pp.crop_mode == "random" else None
-        cropped.append(crop(resized, pp.keyframe_crop, mode=pp.crop_mode,
-                            seed=seed))
-    save_raw_video(VideoFrames.from_array(np.stack(cropped), frame_rate=1),
-                   out / "keyframes")
-
-    resized_chunks = np.stack([
-        np.stack([resize_exact(f, pp.chunk_size, pp.chunk_size)
-                  for f in chunk])
-        for chunk in chunks])
-    flat = resized_chunks.reshape(-1, pp.chunk_size, pp.chunk_size, 3)
-    save_raw_video(VideoFrames.from_array(flat, frame_rate=video.frame_rate),
-                   out / "chunks")
-    print(f"wrote {len(keys)} key frames and {len(chunks)} chunks under {out}")
     return 0
 
 
@@ -232,13 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=320)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("preprocess",
-                       help="write key-frame and chunk branches of one video")
-    p.add_argument("--video", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("gms", help="dump the fragment volume of one video")
     p.add_argument("--video", required=True)

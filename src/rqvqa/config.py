@@ -21,19 +21,9 @@ from .errors import ConfigError
 from .features import ExtractionConfig
 from .fusion import LOSSES, TrainConfig
 from .harness import COMBINERS, GROUPINGS, SplitConfig
-from .preproc import CROP_MODES
 
 # backbone sources take their widths from the first video's sidecar headers
 REGISTRIES = ("toy", "backbone")
-
-
-@dataclass(frozen=True)
-class PreprocConfig:
-    keyframe_min_side: int = 384
-    keyframe_crop: int = 384
-    crop_mode: str = "center"
-    crop_seed: int = 0
-    chunk_size: int = 224
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,6 @@ class RunConfig:
     registry: str = "toy"
     train: TrainConfig = field(default_factory=TrainConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-    preproc: PreprocConfig = field(default_factory=PreprocConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     ensemble_combiner: str = "mean"
 
@@ -63,9 +52,16 @@ def _one_of(choices: tuple[str, ...]):
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ConfigError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 # key -> (section attr or None for top level, field name, parser)
 _KEYS = {
-    "seed": (None, "seed", int),
+    "seed": (None, "seed", _non_negative_int),
     "ensemble.combiner": (None, "ensemble_combiner", _one_of(COMBINERS)),
     "registry": (None, "registry", _one_of(REGISTRIES)),
     "train.learning_rate": ("train", "learning_rate", float),
@@ -77,13 +73,8 @@ _KEYS = {
     "train.mhsa_heads": ("train", "mhsa_heads", int),
     "gms.grid_count": ("extraction", "gms_grid_count", int),
     "gms.patch_size": ("extraction", "gms_patch_size", int),
-    "gms.seed": ("extraction", "gms_seed", int),
+    "gms.seed": ("extraction", "gms_seed", _non_negative_int),
     "gms.all_frames": ("extraction", "gms_all_frames", _parse_bool),
-    "preproc.keyframe_min_side": ("preproc", "keyframe_min_side", int),
-    "preproc.keyframe_crop": ("preproc", "keyframe_crop", int),
-    "preproc.crop_mode": ("preproc", "crop_mode", _one_of(CROP_MODES)),
-    "preproc.crop_seed": ("preproc", "crop_seed", int),
-    "preproc.chunk_size": ("preproc", "chunk_size", int),
     "split.ratio": ("split", "ratio", float),
     "split.grouping": ("split", "grouping", _one_of(GROUPINGS)),
 }
@@ -137,7 +128,6 @@ def load_config(path: str | Path | None = None,
     cfg = RunConfig(
         train=TrainConfig(**settings.get("train", {})),
         extraction=ExtractionConfig(**settings.get("extraction", {})),
-        preproc=PreprocConfig(**settings.get("preproc", {})),
         split=SplitConfig(**settings.get("split", {})),
         **settings.get(None, {}),
     )

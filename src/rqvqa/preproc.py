@@ -1,4 +1,4 @@
-"""Video representation, key-frame/chunk extraction, and branch geometry.
+"""Video representation, key-frame/chunk extraction, and resizing.
 
 Videos are plain directories of raw RGB frames plus a tiny metadata file, so
 everything stays deterministic and decoder-free:
@@ -21,7 +21,6 @@ from .errors import GeometryError, VideoFormatError
 
 META_NAME = "meta.txt"
 FRAME_PATTERN = "frame_{:06d}.rgb"
-CROP_MODES = ("center", "random")
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,6 @@ def extract_chunks(video: VideoFrames) -> np.ndarray:
                                            video.width, 3)
 
 
-def _iround(x: float) -> int:
-    # round-half-up keeps the geometry convention platform independent
-    return int(np.floor(x + 0.5))
-
-
 def _resize_axis(img: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     """Bilinear resample of one axis with half-pixel center alignment."""
     in_len = img.shape[axis]
@@ -177,54 +171,17 @@ def _resize_axis(img: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     return a * (1.0 - frac) + b * frac
 
 
-def _resize(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    h, w = frame.shape[:2]
-    if (out_h, out_w) == (h, w):
-        return frame.copy()  # bit-exact pass-through
-    out = _resize_axis(frame, out_h, axis=0)
-    out = _resize_axis(out, out_w, axis=1)
-    if np.issubdtype(frame.dtype, np.integer):
-        return np.clip(np.rint(out), 0, 255).astype(frame.dtype)
-    return out
-
-
-def resize_min_side(frame: np.ndarray, target: int) -> np.ndarray:
-    """Scale so the shorter side equals target, preserving aspect ratio."""
-    if target < 1:
-        raise GeometryError(f"target must be >= 1, got {target}")
-    h, w = frame.shape[:2]
-    if h < 1 or w < 1:
-        raise GeometryError("zero-sized frame")
-    if h <= w:
-        out_h, out_w = target, _iround(w * target / h)
-    else:
-        out_w, out_h = target, _iround(h * target / w)
-    return _resize(frame, out_w, out_h)
-
-
 def resize_exact(frame: np.ndarray, width: int, height: int) -> np.ndarray:
     """Scale to width x height, ignoring aspect ratio."""
     if width < 1 or height < 1:
         raise GeometryError(f"target must be >= 1, got {width}x{height}")
-    if frame.shape[0] < 1 or frame.shape[1] < 1:
-        raise GeometryError("zero-sized frame")
-    return _resize(frame, width, height)
-
-
-def crop(frame: np.ndarray, size: int, mode: str = "center",
-         seed: int | None = None) -> np.ndarray:
-    """Take a size x size window; offsets are centered or seeded-uniform."""
     h, w = frame.shape[:2]
-    if h < size or w < size:
-        raise GeometryError(f"frame {w}x{h} smaller than crop size {size}")
-    if mode not in CROP_MODES:
-        raise GeometryError(f"unknown crop mode {mode!r}")
-    if mode == "center":
-        ox = (w - size) // 2
-        oy = (h - size) // 2
-    else:
-        rng = np.random.default_rng(seed)
-        # x offset drawn first, then y
-        ox = int(rng.integers(0, w - size + 1))
-        oy = int(rng.integers(0, h - size + 1))
-    return frame[oy:oy + size, ox:ox + size].copy()
+    if h < 1 or w < 1:
+        raise GeometryError("zero-sized frame")
+    if (height, width) == (h, w):
+        return frame.copy()  # bit-exact pass-through
+    out = _resize_axis(frame, height, axis=0)
+    out = _resize_axis(out, width, axis=1)
+    if np.issubdtype(frame.dtype, np.integer):
+        return np.clip(np.rint(out), 0, 255).astype(frame.dtype)
+    return out

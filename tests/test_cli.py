@@ -557,9 +557,13 @@ class TestErrors:
         err = capsys.readouterr().err.strip()
         assert err == f"error: ConfigError: unknown config key {key!r}"
 
+    # the sidecar headers give the widths, and whoever writes the sidecars
+    # owns the branch geometry
     @pytest.mark.parametrize("key", [
         "registry.spatial_dim", "registry.temporal_dim", "registry.lmm_dim",
-        "registry.spatiotemporal_dim", "registry.spatial_tokens"])
+        "registry.spatiotemporal_dim", "registry.spatial_tokens",
+        "preproc.keyframe_min_side", "preproc.keyframe_crop",
+        "preproc.crop_mode", "preproc.crop_seed", "preproc.chunk_size"])
     def test_registry_widths_are_not_keys(self, workspace, capsys, key):
         code = main(["train", "--manifest",
                      str(workspace / "corpus" / "manifest.csv"),
@@ -573,9 +577,7 @@ class TestErrors:
         ("train", "registry", "toy, backbone"),
         ("train", "train.loss", "plcc, mse"),
         ("train", "split.grouping", "by-scene, by-video"),
-        ("train", "preproc.crop_mode", "center, random"),
         ("ensemble", "ensemble.combiner", "mean, median"),
-        ("preprocess", "preproc.crop_mode", "center, random"),
         ("gms", "split.grouping", "by-scene, by-video"),
         ("experiment", "split.grouping", "by-scene, by-video")])
     def test_enum_value_rejected_when_config_loads(self, workspace, capsys,
@@ -585,8 +587,6 @@ class TestErrors:
         inputs = {"train": ["--manifest", str(corpus / "manifest.csv"), *out],
                   "ensemble": ["--train-manifest",
                                str(corpus / "manifest.csv"), *out],
-                  "preprocess": ["--video", str(corpus / "scene0000_v0"),
-                                 *out],
                   "gms": ["--video", str(corpus / "scene0000_v0"), *out],
                   "experiment": ["--manifest",
                                  str(corpus / "manifest.csv")]}[command]
@@ -597,18 +597,37 @@ class TestErrors:
                        f"{choices}, got 'mode'")
         assert not (workspace / "never").exists()
 
-    def test_preprocess_writes_branches(self, workspace):
+    def test_preprocess_is_not_a_command(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["preprocess", "--video",
+                  str(workspace / "corpus" / "scene0000_v0"),
+                  "--out", str(workspace / "never")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'preprocess'" in capsys.readouterr().err
+        assert not (workspace / "never").exists()
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "seed"), ("experiment", "seed"), ("ensemble", "seed"),
+        ("gms", "gms.seed"), ("features", "gms.seed"), ("train", "gms.seed")])
+    def test_negative_seed_rejected_when_config_loads(self, workspace, capsys,
+                                                      command, key):
         corpus = workspace / "corpus"
-        out = workspace / "prep"
-        assert main(["preprocess", "--video", str(corpus / "scene0000_v0"),
-                     "--out", str(out),
-                     "--set", "preproc.keyframe_min_side=32",
-                     "--set", "preproc.keyframe_crop=32",
-                     "--set", "preproc.chunk_size=16"]) == 0
-        keys = load_raw_video(out / "keyframes")
-        chunks = load_raw_video(out / "chunks")
-        assert keys.width == keys.height == 32
-        assert chunks.width == chunks.height == 16
+        manifest = str(corpus / "manifest.csv")
+        out = ["--out", str(workspace / "never")]
+        inputs = {"train": ["--manifest", manifest, *out],
+                  "experiment": ["--manifest", manifest, "--repeats", "1"],
+                  "ensemble": ["--train-manifest", manifest, "--k", "2",
+                               *out],
+                  "gms": ["--video", str(corpus / "scene0000_v0"), *out],
+                  "features": ["--manifest", manifest, *out]}[command]
+        code = main([command, *inputs, "--config",
+                     str(workspace / "cfg.txt"), "--set", f"{key}=-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: ConfigError: {key}: expected an "
+                                f"integer >= 0, got '-1'\n")
+        assert captured.out == ""
+        assert not (workspace / "never").exists()
 
     def test_malformed_checkpoint_one_line_error(self, workspace, capsys):
         corpus = workspace / "corpus"

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +6,10 @@ from hypothesis import strategies as st
 from rqvqa.errors import GeometryError, VideoFormatError
 from rqvqa.preproc import (
     VideoFrames,
-    crop,
     extract_chunks,
     extract_key_frames,
     load_raw_video,
     resize_exact,
-    resize_min_side,
     save_raw_video,
 )
 
@@ -147,25 +143,6 @@ class TestKeyFramesAndChunks:
 
 
 class TestResize:
-    def test_min_side_1920x1080_to_384(self):
-        # oracle: exact rational arithmetic for the scaled long side
-        expected_w = round(Fraction(1920 * 384, 1080))
-        assert expected_w == 683
-        frame = np.zeros((1080, 1920, 3), dtype=np.uint8)
-        out = resize_min_side(frame, 384)
-        assert out.shape == (384, 683, 3)
-
-    def test_min_side_identity_is_bit_exact(self):
-        rng = np.random.default_rng(0)
-        frame = rng.integers(0, 256, size=(384, 384, 3), dtype=np.uint8)
-        out = resize_min_side(frame, 384)
-        np.testing.assert_array_equal(out, frame)
-
-    def test_min_side_integer_upscale(self):
-        frame = np.zeros((200, 100, 3), dtype=np.uint8)  # 100 wide, 200 high
-        out = resize_min_side(frame, 384)
-        assert out.shape == (768, 384, 3)
-
     def test_exact_shape_contract(self):
         frame = np.zeros((1080, 1920, 3), dtype=np.uint8)
         assert resize_exact(frame, 224, 224).shape == (224, 224, 3)
@@ -186,8 +163,6 @@ class TestResize:
         frame = np.zeros((10, 10, 3), dtype=np.uint8)
         with pytest.raises(GeometryError):
             resize_exact(frame, 0, 5)
-        with pytest.raises(GeometryError):
-            resize_min_side(frame, 0)
 
     def test_bilinear_midpoint_value(self):
         # downscale 2x along one axis averages neighbour pairs exactly
@@ -196,41 +171,3 @@ class TestResize:
         out = resize_exact(frame, 2, 2)
         np.testing.assert_allclose(out[:, :, 0], [[5, 25], [5, 25]])
 
-
-class TestCrop:
-    def test_center_offsets_match_formula(self):
-        frame = np.arange(683 * 384 * 3, dtype=np.uint8).reshape(384, 683, 3)
-        out = crop(frame, 384, mode="center")
-        # offset oracle: x0 = floor((683-384)/2) = 149, y0 = 0
-        np.testing.assert_array_equal(out, frame[0:384, 149:533])
-
-    def test_full_size_crop_is_identity(self):
-        rng = np.random.default_rng(2)
-        frame = rng.integers(0, 256, size=(384, 384, 3), dtype=np.uint8)
-        np.testing.assert_array_equal(crop(frame, 384, mode="center"), frame)
-
-    @given(seed=st.integers(0, 2**31))
-    @settings(max_examples=25, deadline=None)
-    def test_random_crop_deterministic_per_seed(self, seed):
-        frame = np.arange(40 * 60 * 3, dtype=np.uint8).reshape(40, 60, 3)
-        a = crop(frame, 16, mode="random", seed=seed)
-        b = crop(frame, 16, mode="random", seed=seed)
-        np.testing.assert_array_equal(a, b)
-
-    def test_random_crop_stays_in_bounds(self):
-        frame = np.ones((20, 30, 3), dtype=np.uint8)
-        for seed in range(50):
-            out = crop(frame, 20, mode="random", seed=seed)
-            assert out.shape == (20, 20, 3)
-
-    def test_too_small_frame_rejected(self):
-        frame = np.zeros((10, 10, 3), dtype=np.uint8)
-        with pytest.raises(GeometryError, match="smaller than crop"):
-            crop(frame, 11)
-
-    def test_min_side_then_center_crop_is_square(self):
-        rng = np.random.default_rng(3)
-        for h, w in ((100, 250), (300, 120), (97, 97)):
-            frame = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-            out = crop(resize_min_side(frame, 64), 64, mode="center")
-            assert out.shape == (64, 64, 3)
