@@ -17,12 +17,14 @@ from .errors import MetricError
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64).ravel()
     if not np.all(np.isfinite(v)):
-        raise MetricError(f"{name}: non-finite values")
+        i = int(np.argmin(np.isfinite(v)))      # the first bad value
+        raise MetricError(
+            f"{name}: value {i + 1} of {v.size} is non-finite ({v[i]})")
     return v
 
 
-def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv, yv = _as_vector(x, "x"), _as_vector(y, "y")
+def _paired(x, y, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
+    xv, yv = _as_vector(x, names[0]), _as_vector(y, names[1])
     if xv.size != yv.size:
         raise MetricError(f"length mismatch: {xv.size} vs {yv.size}")
     if xv.size < 2:
@@ -79,12 +81,11 @@ class FourPLParams:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """1/(1+exp(-u)) where u >= 0 and exp(u)/(1+exp(u)) where u < 0, in one
+    pass: exp(-|u|) is exp(-u) for u >= 0 (-0.0 too) and exp(u) for u < 0,
+    so no exp overflows."""
+    e = np.exp(-np.abs(u))
+    return np.where(u < 0, e, 1.0) / (1.0 + e)
 
 
 def apply_4pl(params: FourPLParams, x) -> np.ndarray:
@@ -117,22 +118,22 @@ def fit_4pl(pred, mos) -> FourPLParams:
         raise MetricError("zero prediction spread")
 
     def residuals(b):
-        s = _sigmoid((x - b[2]) / abs(b[3]))
-        return y - ((b[0] - b[1]) * s + b[1]), s
+        d = x - b[2]
+        s = _sigmoid(d / abs(b[3]))
+        return y - ((b[0] - b[1]) * s + b[1]), s, d
 
-    r, s = residuals(beta)
+    r, s, d = residuals(beta)
     sse = float(r @ r)
     lam = 1e-3
+    jac = np.empty((x.size, 4))     # C order: the BLAS call of jac.T @ jac
     for _ in range(FIT_MAX_ITER):
-        a4 = abs(beta[3])
-        sp = s * (1.0 - s)          # sigmoid derivative wrt its argument
-        jac = np.column_stack([
-            s,
-            1.0 - s,
-            (beta[0] - beta[1]) * sp * (-1.0 / a4),
-            (beta[0] - beta[1]) * sp * (-(x - beta[2]) / beta[3] ** 2)
-            * np.sign(beta[3]),
-        ])
+        # filled in place; each column keeps its closed form's operation order
+        jac[:, 0] = s
+        np.subtract(1.0, s, out=jac[:, 1])
+        g = (beta[0] - beta[1]) * (s * jac[:, 1])    # (b1 - b2) s (1 - s)
+        np.multiply(g, -1.0 / abs(beta[3]), out=jac[:, 2])
+        np.multiply(g, -d / beta[3] ** 2, out=jac[:, 3])
+        jac[:, 3] *= np.sign(beta[3])
         jtj = jac.T @ jac
         jtr = jac.T @ r
         try:
@@ -146,14 +147,14 @@ def fit_4pl(pred, mos) -> FourPLParams:
             if lam > 1e12:
                 break
             continue
-        r_new, s_new = residuals(cand)
+        r_new, s_new, d_new = residuals(cand)
         sse_new = float(r_new @ r_new)
         if not np.isfinite(sse_new):
             raise MetricError(
                 f"non-finite residual during logistic fit (beta={cand})")
         if sse_new < sse:
             rel_change = abs(sse - sse_new) / max(sse, 1e-30)
-            beta, r, s, sse = cand, r_new, s_new, sse_new
+            beta, r, s, d, sse = cand, r_new, s_new, d_new, sse_new
             lam = max(lam * 0.1, 1e-12)
             if rel_change < FIT_REL_TOL:
                 break
@@ -191,7 +192,7 @@ class EvalReport:
 def evaluate(pred, mos) -> EvalReport:
     """Full criteria set; falls back to the raw PLCC if the fit degenerates
     or is not increasing."""
-    x, y = _paired(pred, mos)
+    x, y = _paired(pred, mos, ("prediction", "mos"))
     srcc = spearman(x, y)
     plcc_raw = pearson(x, y)
     try:

@@ -144,6 +144,8 @@ def make_synthetic_corpus(out_dir: str | Path, n_videos: int, seed: int):
 
     if n_videos < 20:
         raise ManifestError(f"synthetic corpus needs n >= 20, got {n_videos}")
+    if seed < 0:
+        raise ManifestError(f"synthetic corpus needs seed >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -128,6 +128,22 @@ class TestTrainPredictEval:
                     "n=24"):
             assert key in report
 
+    def test_eval_report_is_pinned(self, tmp_path, capsys):
+        # a seeded 2000-row CSV: 6-decimal predictions, MOS on a 0.25 grid
+        rng = np.random.default_rng(28)
+        mos = np.round(rng.uniform(1.0, 5.0, 2000) * 4.0) / 4.0
+        pred = np.tanh(mos - 3.0) + rng.normal(0.0, 0.3, 2000)
+        path = tmp_path / "scored.csv"
+        path.write_text("prediction,mos\n" + "".join(
+            f"{p:.6f},{m:.2f}\n" for p, m in zip(pred, mos)))
+        out = tmp_path / "report.txt"
+        assert main(["eval", "--pred", str(path), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "srcc=0.899506\nplcc_raw=0.902667\nplcc_4pl=0.913474\n"
+            "beta1=4.635152\nbeta2=1.321367\nbeta3=-0.016741\n"
+            "beta4=0.440566\nn=2000\n")
+        assert capsys.readouterr().out == out.read_text()
+
     def test_predict_takes_its_sources_from_the_checkpoint(self, workspace):
         # a toy checkpoint predicts the same bytes whatever `registry` says
         corpus = workspace / "corpus"
@@ -629,6 +645,16 @@ class TestErrors:
         assert captured.out == ""
         assert not (workspace / "never").exists()
 
+    def test_negative_synth_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["synth", "--out", str(out), "--n", "20",
+                     "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: ManifestError: synthetic corpus needs "
+                                "seed >= 0, got -1\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_checkpoint_one_line_error(self, workspace, capsys):
         corpus = workspace / "corpus"
         args = ["--config", str(workspace / "cfg.txt")]
@@ -683,6 +709,21 @@ class TestErrors:
             assert main(["eval", "--pred", str(path)]) == 1
             err = capsys.readouterr().err
             assert err == f"error: ManifestError: {path}:{message}\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["prediction", "mos"])
+    def test_eval_names_a_non_finite_value(self, workspace, capsys, bad,
+                                           column):
+        rows = [[f"0.{i}3", f"{i}"] for i in range(1, 6)]
+        rows[1][column == "mos"] = bad
+        path = workspace / f"non_finite_{column}_{bad}.csv"
+        path.write_text("prediction,mos\n" + "".join(
+            f"{p},{m}\n" for p, m in rows))
+        assert main(["eval", "--pred", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: MetricError: {column}: value 2 of 5 "
+                                f"is non-finite ({bad})\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_eval_rejects_values_whose_squares_overflow(self, workspace,

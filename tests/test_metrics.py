@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metrics_oracle
 from rqvqa import metrics
 from rqvqa.errors import MetricError
 from rqvqa.fusion import plcc_loss
@@ -286,6 +287,70 @@ class TestEvaluate:
     def test_report_range_validated(self):
         with pytest.raises(MetricError):
             EvalReport(srcc=1.5, plcc_raw=0.0, plcc_4pl=0.0, fit=None, n=10)
+
+
+def report_hex(pred, mos, evaluate_fn):
+    """evaluate's report, each float as float.hex, or its MetricError."""
+    try:
+        rep = evaluate_fn(pred, mos)
+    except MetricError as exc:
+        return f"MetricError: {exc}"
+    betas = (rep.fit.beta1, rep.fit.beta2, rep.fit.beta3,
+             rep.fit.beta4) if rep.fit else ()
+    return (tuple(float(v).hex() for v in (rep.srcc, rep.plcc_raw,
+                                             rep.plcc_4pl, *betas)),
+            rep.n, rep.fit_failed)
+
+
+@st.composite
+def scored_samples(draw):
+    """(prediction, mos): MOS on a 0.25 grid (ties) times a scale up to
+    1e150; predictions a linear, exponential or saturating map of it,
+    possibly reversed and on a 0.25 grid, times a scale from 1e-8 to 1e8."""
+    n = draw(st.sampled_from(range(2, 501)))    # few n < 5: no fit
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = np.round(rng.uniform(1.0, 5.0, n) * 4.0) / 4.0
+    mos = grid * draw(st.sampled_from([1.0, 1e-3, 1e6, 1e150]))
+    t = {"linear": grid, "exp": np.exp(grid),
+         "saturating": np.tanh(grid - 3.0)}[
+        draw(st.sampled_from(["linear", "exp", "saturating"]))]
+    t = draw(st.sampled_from([1.0, 1.0, -1.0])) * t + draw(
+        st.sampled_from([0.0, 0.05, 0.5, 5.0])) * rng.normal(0.0, 1.0, n)
+    if draw(st.booleans()):
+        t = np.round(t * 4.0) / 4.0
+    return t * 10.0 ** draw(st.integers(-8, 8)), mos
+
+
+class TestByteOracle:
+    """The one-pass logistic and the in-place Jacobian give the bytes of
+    the masked logistic and the column-stacked Jacobian."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
+             1e308, -1e308, np.inf, -np.inf]
+
+    def test_sigmoid_edge_values(self):
+        u = np.array(self.EDGES)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = metrics._sigmoid(u)
+            want = metrics_oracle._sigmoid(u)
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_sigmoid_bytes(self, us):
+        u = np.array(us)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert (metrics._sigmoid(u).tobytes()
+                    == metrics_oracle._sigmoid(u).tobytes())
+
+    @given(scored_samples())
+    @example((np.arange(10.0), -np.arange(10.0)))       # anti-correlated
+    @example((np.array([1.0, 2.0]), np.array([2.0, 1.0])))
+    @settings(max_examples=120, deadline=None)
+    def test_evaluate_report_bytes(self, sample):
+        pred, mos = sample
+        assert report_hex(pred, mos, evaluate) == report_hex(
+            pred, mos, metrics_oracle.evaluate)
 
 
 class TestChallengeScore:
