@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gms, features, train, predict, eval, ensemble,
+Subcommands: features, train, predict, eval, ensemble,
 experiment, synth. Every command but eval and synth accepts --config FILE
 and repeated --set key=value overrides. Failures exit nonzero with a single
 machine-parsable line on stderr: `error: <kind>: <message>`.
@@ -17,7 +17,6 @@ from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
 from .features import (
     backbone_registry_from_sidecars,
-    fragment_volume,
     save_sidecar,
     toy_registry,
 )
@@ -33,7 +32,6 @@ from .harness import (
     write_predictions,
 )
 from .metrics import evaluate
-from .preproc import VideoFrames, load_raw_video, save_raw_video
 from .synthetic import make_synthetic_corpus
 
 
@@ -61,17 +59,6 @@ def _manifest_and_registry(cfg: RunConfig, path: str):
 def cmd_synth(args) -> int:
     manifest = make_synthetic_corpus(args.out, args.n, args.seed)
     print(f"wrote {len(manifest)} videos under {args.out}")
-    return 0
-
-
-def cmd_gms(args) -> int:
-    cfg = _config(args)
-    video = load_raw_video(args.video)
-    volume = fragment_volume(video, cfg.extraction)
-    fps = video.frame_rate if cfg.extraction.gms_all_frames else 1
-    save_raw_video(VideoFrames.from_array(volume, frame_rate=fps), args.out)
-    print(f"wrote {volume.shape[0]} fragment frames "
-          f"({volume.shape[2]}x{volume.shape[1]}) under {args.out}")
     return 0
 
 
@@ -193,12 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=320)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("gms", help="dump the fragment volume of one video")
-    p.add_argument("--video", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gms)
 
     p = sub.add_parser("features", help="materialize sidecars for a manifest")
     p.add_argument("--manifest", required=True)

@@ -36,14 +36,6 @@ class RunConfig:
     ensemble_combiner: str = "mean"
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes", "on"):
-        return True
-    if text.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _one_of(choices: tuple[str, ...]):
     def parse(text: str) -> str:
         if text in choices:
@@ -74,7 +66,6 @@ _KEYS = {
     "gms.grid_count": ("extraction", "gms_grid_count", int),
     "gms.patch_size": ("extraction", "gms_patch_size", int),
     "gms.seed": ("extraction", "gms_seed", _non_negative_int),
-    "gms.all_frames": ("extraction", "gms_all_frames", _parse_bool),
     "split.ratio": ("split", "ratio", float),
     "split.grouping": ("split", "grouping", _one_of(GROUPINGS)),
 }
@@ -108,7 +99,7 @@ def load_config(path: str | Path | None = None,
         if not path.is_file():
             raise ConfigError(f"config file {path} not found")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
         for lineno, line in enumerate(text.splitlines(), 1):

@@ -401,17 +401,6 @@ class ExtractionConfig:
     gms_grid_count: int = 7
     gms_patch_size: int = 32
     gms_seed: int = 0
-    gms_all_frames: bool = False
-
-
-def fragment_volume(video: VideoFrames,
-                    extraction: ExtractionConfig) -> np.ndarray:
-    """Fragments of the key frames (every frame with gms_all_frames)."""
-    frames = (video.frames if extraction.gms_all_frames
-              else extract_key_frames(video))
-    plan = make_plan(video.width, video.height, extraction.gms_grid_count,
-                     extraction.gms_patch_size, extraction.gms_seed)
-    return sample_fragments(frames, plan)
 
 
 def _toy_matrix(toy: str, video: VideoFrames,
@@ -420,7 +409,10 @@ def _toy_matrix(toy: str, video: VideoFrames,
         return toy_pixelstats(extract_key_frames(video))
     if toy == "motionstats":
         return toy_motionstats(extract_chunks(video))
-    return toy_fragmentstats(fragment_volume(video, extraction))[None, :]
+    plan = make_plan(video.width, video.height, extraction.gms_grid_count,
+                     extraction.gms_patch_size, extraction.gms_seed)
+    fragments = sample_fragments(extract_key_frames(video), plan)
+    return toy_fragmentstats(fragments)[None, :]
 
 
 def assemble_bundle(video: VideoFrames | None,

@@ -58,6 +58,11 @@ class DatasetManifest:
     def __post_init__(self):
         seen = set()
         for rec in self.records:
+            # an id names one directory under a sidecar root
+            if rec.video_id in ("", ".", "..") or "/" in rec.video_id \
+                    or "\0" in rec.video_id:
+                raise ManifestError(
+                    f"video_id {rec.video_id!r} is not one path component")
             if rec.video_id in seen:
                 raise ManifestError(f"duplicate video_id {rec.video_id!r}")
             seen.add(rec.video_id)
@@ -70,9 +75,10 @@ class DatasetManifest:
 
 @contextmanager
 def csv_reader(path: str | Path):
-    """A csv reader over the UTF-8 text at path. Bytes that do not decode,
-    and a field over csv's size limit, fail as one ManifestError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """A csv reader over the UTF-8 text at path, a leading BOM skipped.
+    Bytes that do not decode, and a field over csv's size limit, fail as
+    one ManifestError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader

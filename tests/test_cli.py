@@ -9,13 +9,9 @@ import pytest
 
 from rqvqa.cli import build_parser, main
 from rqvqa.features import (
-    ExtractionConfig,
     FeatureBundle,
-    assemble_bundle,
     backbone_registry,
-    fragment_volume,
     save_sidecar,
-    toy_pixelstats,
     toy_registry,
 )
 from rqvqa.fusion import load_checkpoint, params_from_head
@@ -143,6 +139,31 @@ class TestTrainPredictEval:
             "beta1=4.635152\nbeta2=1.321367\nbeta3=-0.016741\n"
             "beta4=0.440566\nn=2000\n")
         assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("header", ["", "prediction,mos\n"])
+    def test_eval_skips_a_leading_bom(self, tmp_path, capsys, header):
+        text = header + "".join(f"0.{i}3,{i}\n" for i in range(1, 7))
+        reports = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(prefix + text.encode())
+            out = tmp_path / f"{name}.txt"
+            assert main(["eval", "--pred", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0].endswith("n=6\n")
+        assert reports[1] == reports[0]
+
+    def test_bom_manifest_trains(self, workspace, tmp_path):
+        records = load_manifest(workspace / "corpus" / "manifest.csv").records
+        text = "video_id,path,mos,scene_id\n" + "".join(
+            f"{r.video_id},{r.path},{r.mos!r},{r.scene_id}\n" for r in records)
+        args = ["--config", str(workspace / "cfg.txt")]
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.csv").write_bytes(prefix + text.encode())
+            assert main(["train", "--manifest", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / f"{name}.ckpt")] + args) == 0
+        assert ((tmp_path / "bom.ckpt").read_bytes()
+                == (tmp_path / "plain.ckpt").read_bytes())
 
     def test_predict_takes_its_sources_from_the_checkpoint(self, workspace):
         # a toy checkpoint predicts the same bytes whatever `registry` says
@@ -289,44 +310,6 @@ class TestBackboneWidthsFromSidecars:
                        f"tokens)\n")
 
 
-class TestGmsDump:
-    def test_dump_loadable(self, workspace):
-        corpus = workspace / "corpus"
-        args = ["--config", str(workspace / "cfg.txt")]
-        assert main(["gms", "--video", str(corpus / "scene0000_v0"),
-                     "--out", str(workspace / "frag")] + args) == 0
-        dumped = load_raw_video(workspace / "frag")
-        assert dumped.width == dumped.height == 32  # 4 cells x 8 px
-        assert dumped.frame_count == 2  # one fragment frame per key frame
-
-    def test_all_frames_dump_and_fragmentstats(self, workspace):
-        path = workspace / "corpus" / "scene0000_v0"
-        video = load_raw_video(path)
-        args = ["--config", str(workspace / "cfg.txt"),
-                "--set", "gms.all_frames=true"]
-        assert main(["gms", "--video", str(path),
-                     "--out", str(workspace / "frag_all")] + args) == 0
-        dumped = load_raw_video(workspace / "frag_all")
-        assert dumped.frame_count == video.frame_count == 8
-        assert dumped.frame_rate == video.frame_rate == 4
-        plan = make_plan(64, 64, 4, 8, 0)
-        np.testing.assert_array_equal(
-            dumped.frames, sample_fragments(video.frames, plan))
-
-        def fragmentstats(all_frames):
-            extraction = ExtractionConfig(gms_grid_count=4, gms_patch_size=8,
-                                          gms_all_frames=all_frames)
-            return assemble_bundle(video, toy_registry(),
-                                   extraction=extraction
-                                   ).matrices["fragmentstats"]
-
-        np.testing.assert_array_equal(
-            fragmentstats(True)[0],
-            toy_pixelstats(
-                dumped.frames.astype(np.float64).mean(axis=0)[None])[0])
-        assert not np.array_equal(fragmentstats(True), fragmentstats(False))
-
-
 class TestFeaturesCommand:
     def test_sidecars_written_and_reusable(self, workspace):
         corpus = workspace / "corpus"
@@ -351,16 +334,11 @@ class TestFeaturesCommand:
                      str(workspace / "sidecar_manifest.csv"),
                      "--out", str(workspace / "sc.ckpt")] + args) == 0
 
-    @pytest.mark.parametrize("all_frames", [False, True])
-    def test_sidecars_equal_the_per_frame_oracle(self, workspace, tmp_path,
-                                                 all_frames):
+    def test_sidecars_equal_the_per_frame_oracle(self, workspace, tmp_path):
         corpus = workspace / "corpus"
-        flag = f"gms.all_frames={str(all_frames).lower()}"
         assert main(["features", "--manifest", str(corpus / "manifest.csv"),
                      "--out", str(tmp_path / "cli"), "--config",
-                     str(workspace / "cfg.txt"), "--set", flag]) == 0
-        extraction = ExtractionConfig(gms_grid_count=4, gms_patch_size=8,
-                                      gms_all_frames=all_frames)
+                     str(workspace / "cfg.txt")]) == 0
         registry = toy_registry()
         records = load_manifest(corpus / "manifest.csv").records
         for rec in records:
@@ -371,7 +349,9 @@ class TestFeaturesCommand:
                 "motionstats": toy_oracle.motionstats_rows(
                     extract_chunks(video)),
                 "fragmentstats": toy_oracle.fragmentstats(
-                    fragment_volume(video, extraction))[None],
+                    sample_fragments(extract_key_frames(video),
+                                     make_plan(video.width, video.height,
+                                               4, 8, 0)))[None],
             }
             for source in registry:
                 name = f"{source.name}.rqvf"
@@ -574,12 +554,13 @@ class TestErrors:
         assert err == f"error: ConfigError: unknown config key {key!r}"
 
     # the sidecar headers give the widths, and whoever writes the sidecars
-    # owns the branch geometry
+    # owns the branch geometry and the frames its fragments come from
     @pytest.mark.parametrize("key", [
         "registry.spatial_dim", "registry.temporal_dim", "registry.lmm_dim",
         "registry.spatiotemporal_dim", "registry.spatial_tokens",
         "preproc.keyframe_min_side", "preproc.keyframe_crop",
-        "preproc.crop_mode", "preproc.crop_seed", "preproc.chunk_size"])
+        "preproc.crop_mode", "preproc.crop_seed", "preproc.chunk_size",
+        "gms.all_frames"])
     def test_registry_widths_are_not_keys(self, workspace, capsys, key):
         code = main(["train", "--manifest",
                      str(workspace / "corpus" / "manifest.csv"),
@@ -594,7 +575,7 @@ class TestErrors:
         ("train", "train.loss", "plcc, mse"),
         ("train", "split.grouping", "by-scene, by-video"),
         ("ensemble", "ensemble.combiner", "mean, median"),
-        ("gms", "split.grouping", "by-scene, by-video"),
+        ("features", "split.grouping", "by-scene, by-video"),
         ("experiment", "split.grouping", "by-scene, by-video")])
     def test_enum_value_rejected_when_config_loads(self, workspace, capsys,
                                                    command, key, choices):
@@ -603,7 +584,8 @@ class TestErrors:
         inputs = {"train": ["--manifest", str(corpus / "manifest.csv"), *out],
                   "ensemble": ["--train-manifest",
                                str(corpus / "manifest.csv"), *out],
-                  "gms": ["--video", str(corpus / "scene0000_v0"), *out],
+                  "features": ["--manifest", str(corpus / "manifest.csv"),
+                               *out],
                   "experiment": ["--manifest",
                                  str(corpus / "manifest.csv")]}[command]
         code = main([command, *inputs, "--set", f"{key}=mode"])
@@ -622,9 +604,18 @@ class TestErrors:
         assert "invalid choice: 'preprocess'" in capsys.readouterr().err
         assert not (workspace / "never").exists()
 
+    def test_gms_is_not_a_command(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gms", "--video",
+                  str(workspace / "corpus" / "scene0000_v0"),
+                  "--out", str(workspace / "never")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gms'" in capsys.readouterr().err
+        assert not (workspace / "never").exists()
+
     @pytest.mark.parametrize("command,key", [
         ("train", "seed"), ("experiment", "seed"), ("ensemble", "seed"),
-        ("gms", "gms.seed"), ("features", "gms.seed"), ("train", "gms.seed")])
+        ("features", "gms.seed"), ("train", "gms.seed")])
     def test_negative_seed_rejected_when_config_loads(self, workspace, capsys,
                                                       command, key):
         corpus = workspace / "corpus"
@@ -634,7 +625,6 @@ class TestErrors:
                   "experiment": ["--manifest", manifest, "--repeats", "1"],
                   "ensemble": ["--train-manifest", manifest, "--k", "2",
                                *out],
-                  "gms": ["--video", str(corpus / "scene0000_v0"), *out],
                   "features": ["--manifest", manifest, *out]}[command]
         code = main([command, *inputs, "--config",
                      str(workspace / "cfg.txt"), "--set", f"{key}=-1"])
@@ -644,6 +634,26 @@ class TestErrors:
                                 f"integer >= 0, got '-1'\n")
         assert captured.out == ""
         assert not (workspace / "never").exists()
+
+    # `features` writes <out>/<video_id>/<source>.rqvf
+    @pytest.mark.parametrize("video_id", [
+        "../escaped", "", ".", "..", "a/b", "a\x00b"])
+    def test_video_id_must_be_one_path_component(self, workspace, tmp_path,
+                                                 capsys, video_id):
+        records = load_manifest(workspace / "corpus" / "manifest.csv").records
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("video_id,path,mos,scene_id\n" + "".join(
+            f"{video_id if i == 0 else r.video_id},{r.path},{r.mos!r},"
+            f"{r.scene_id}\n" for i, r in enumerate(records)))
+        code = main(["features", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out" / "inner"),
+                     "--config", str(workspace / "cfg.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: ManifestError: video_id "
+                                f"{video_id!r} is not one path component\n")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
     def test_negative_synth_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "never"

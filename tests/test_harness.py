@@ -413,6 +413,13 @@ class TestConfig:
         assert cfg.extraction.gms_grid_count == 4
         assert cfg.split.ratio == 0.7
 
+    def test_leading_bom_skipped(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"\xef\xbb\xbfseed = 9\ngms.grid_count = 4\n")
+        cfg = load_config(path)
+        assert cfg.seed == 9
+        assert cfg.extraction.gms_grid_count == 4
+
     def test_readme_config_block_lists_every_key_with_its_default(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         blocks = readme.read_text(encoding="utf-8").split("```")[1::2]

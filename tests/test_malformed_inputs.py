@@ -80,7 +80,8 @@ def fuzz_file(path, ops, argv):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """Four sidecar-only toy videos with manifest.csv, a checkpoint m.ckpt
-    trained on them, a config file, an eval CSV and a raw video `clip`."""
+    trained on them, a config file predict runs with, an eval CSV and a raw
+    video `clip` with its one-video clip.csv."""
     root = tmp_path_factory.mktemp("malformed")
     rng = np.random.default_rng(0)
     lines = ["video_id,path,mos,scene_id"]
@@ -95,12 +96,19 @@ def corpus(tmp_path_factory):
                       "--out", str(root / "m.ckpt")] + TRAIN)[0] == 0
     (root / "cfg.txt").write_text(
         "# fuzzed settings\nseed = 5\nregistry = toy\ntrain.hidden = 4\n"
-        "train.loss = plcc\ngms.grid_count = 4\ngms.all_frames = false\n"
+        "train.loss = plcc\ngms.grid_count = 4\ngms.patch_size = 8\n"
         "split.ratio = 0.5\n")
+    # every mutation of a config predict rejects would stop at the same line
+    assert run_clean(["predict", "--checkpoint", str(root / "m.ckpt"),
+                      "--manifest", str(root / "manifest.csv"),
+                      "--out", str(root / "p.csv"),
+                      "--config", str(root / "cfg.txt")])[0] == 0
     (root / "eval.csv").write_text("prediction,mos\n" + "".join(
         f"{0.1 * i + 0.03 * (i % 3):.2f},{i}\n" for i in range(10)))
     frames = rng.integers(0, 256, (8, 32, 32, 3), dtype=np.uint8)
     save_raw_video(VideoFrames.from_array(frames, 4), root / "clip")
+    (root / "clip.csv").write_text("video_id,path,mos,scene_id\n"
+                                   "clip,clip,1.0,s0\n")
     return root
 
 
@@ -120,6 +128,7 @@ def test_fuzzed_sidecar(corpus, ops):
 @example([("replace", 28, 0xFF)])             # not UTF-8
 @example([("repeat", 28, FIELD_LIMIT)])       # a field over csv's limit
 @example([("replace", 30, 0x0B)])             # a line break (VT) in a path
+@example([("replace", 28, 0x00)])             # a NUL in a video id
 def test_fuzzed_manifest(corpus, ops):
     fuzz = corpus / "fuzz.csv"
     fuzz.write_bytes((corpus / "manifest.csv").read_bytes())
@@ -153,8 +162,8 @@ def test_fuzzed_eval_csv(corpus, ops):
     if code != 0:
         return
     # the rows eval read: non-empty ones, less a non-numeric first row
-    rows = [row for row in csv.reader(io.StringIO(data.decode(), newline=""))
-            if row]
+    text = data.decode("utf-8-sig")
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     try:
         float(rows[0][0]), float(rows[0][1])
     except ValueError:
@@ -173,6 +182,6 @@ def test_fuzzed_eval_csv(corpus, ops):
 @example([("repeat", 6, 10)])                 # width=33333333332, no frames
 def test_fuzzed_meta(corpus, ops):
     fuzz_file(corpus / "clip" / "meta.txt", ops,
-              ["gms", "--video", str(corpus / "clip"),
-               "--out", str(corpus / "gms"), "--set", "gms.grid_count=4",
+              ["features", "--manifest", str(corpus / "clip.csv"),
+               "--out", str(corpus / "features"), "--set", "gms.grid_count=4",
                "--set", "gms.patch_size=8"])
