@@ -130,10 +130,7 @@ def cmd_eval(args) -> int:
     lines.append(f"n={report.n}")
     if report.fit_failed:
         lines.append("fit_failed=1")
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print("\n".join(lines))
     return 0
 
 
@@ -144,8 +141,7 @@ def cmd_ensemble(args) -> int:
         else None
     rows = ensemble_predict(manifest, registry, cfg.train, cfg.split,
                             k_splits=args.k, target_manifest=target,
-                            master_seed=cfg.seed, extraction=cfg.extraction,
-                            combiner=cfg.ensemble_combiner)
+                            master_seed=cfg.seed, extraction=cfg.extraction)
     write_predictions(rows, args.out)
     print(f"wrote {len(rows)} ensembled predictions to {args.out}")
     return 0
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval",
                        help="evaluate a 2-column (prediction, MOS) CSV")
     p.add_argument("--pred", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ensemble",

@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .features import ExtractionConfig
 from .fusion import LOSSES, TrainConfig
-from .harness import COMBINERS, GROUPINGS, SplitConfig
+from .harness import GROUPINGS, SplitConfig
 
 # backbone sources take their widths from the first video's sidecar headers
 REGISTRIES = ("toy", "backbone")
@@ -33,7 +33,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
-    ensemble_combiner: str = "mean"
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -54,7 +53,6 @@ def _non_negative_int(text: str) -> int:
 # key -> (section attr or None for top level, field name, parser)
 _KEYS = {
     "seed": (None, "seed", _non_negative_int),
-    "ensemble.combiner": (None, "ensemble_combiner", _one_of(COMBINERS)),
     "registry": (None, "registry", _one_of(REGISTRIES)),
     "train.learning_rate": ("train", "learning_rate", float),
     "train.batch_size": ("train", "batch_size", int),

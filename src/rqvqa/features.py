@@ -417,9 +417,9 @@ def _toy_matrix(toy: str, video: VideoFrames,
 
 def assemble_bundle(video: VideoFrames | None,
                     registry: Sequence[FeatureSource],
-                    sidecar_dir: str | Path | None = None,
+                    sidecar_dir: str | Path | None = None, *,
                     video_id: str = "video",
-                    extraction: ExtractionConfig = ExtractionConfig(),
+                    extraction: ExtractionConfig,
                     ) -> FeatureBundle:
     """Resolve every registered source (sidecar first, toy fallback).
 

@@ -40,7 +40,6 @@ PREDICTION_HEADER = ["video_id", "score"]
 
 TRAIN_SEED_STRIDE = 100_000
 GROUPINGS = ("by-scene", "by-video")
-COMBINERS = ("mean", "median")
 
 
 @dataclass(frozen=True)
@@ -324,17 +323,15 @@ def ensemble_predict(train_manifest: DatasetManifest,
                      registry: Sequence[FeatureSource], cfg: TrainConfig,
                      protocol: SplitConfig, k_splits: int, *,
                      master_seed: int, extraction: ExtractionConfig,
-                     target_manifest: DatasetManifest | None = None,
-                     combiner: str = "mean") -> list[tuple[str, float]]:
-    """Train k models on k seeded splits and combine their predictions.
+                     target_manifest: DatasetManifest | None = None
+                     ) -> list[tuple[str, float]]:
+    """Train k models on k seeded splits and average their scores per video.
 
     Scores are produced for target_manifest (default: the training manifest
-    itself), combined per video by arithmetic mean or median.
+    itself).
     """
     if k_splits < 2:
         raise ManifestError(f"k_splits must be >= 2, got {k_splits}")
-    if combiner not in COMBINERS:
-        raise ManifestError(f"unknown combiner {combiner!r}")
     train_bundles = _bundles_by_id(train_manifest, registry, extraction)
     if target_manifest is None:
         target, target_bundles = train_manifest, train_bundles.values()
@@ -347,7 +344,5 @@ def ensemble_predict(train_manifest: DatasetManifest,
         for _, _, head in _split_models(train_manifest, train_bundles,
                                         registry, cfg, protocol, k_splits,
                                         master_seed)])
-    combined = per_model.mean(axis=0) if combiner == "mean" else \
-        np.median(per_model, axis=0)
     return [(rec.video_id, float(s))
-            for rec, s in zip(target.records, combined)]
+            for rec, s in zip(target.records, per_model.mean(axis=0))]

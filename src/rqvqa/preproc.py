@@ -75,7 +75,7 @@ def load_raw_video(directory: str | Path) -> VideoFrames:
         raise VideoFormatError(f"{meta_path} missing")
 
     try:
-        text = meta_path.read_text(encoding="utf-8")
+        text = meta_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise VideoFormatError(
             f"{meta_path}: not UTF-8 ({exc.reason})") from None

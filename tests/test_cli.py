@@ -117,9 +117,8 @@ class TestTrainPredictEval:
             for vid, score in rows[1:]:
                 fh.write(f"{score},{mos[vid]}\n")
         capsys.readouterr()
-        assert main(["eval", "--pred", str(pm),
-                     "--out", str(workspace / "report.txt")]) == 0
-        report = (workspace / "report.txt").read_text()
+        assert main(["eval", "--pred", str(pm)]) == 0
+        report = capsys.readouterr().out
         for key in ("srcc=", "plcc_raw=", "plcc_4pl=", "beta1=", "beta4=",
                     "n=24"):
             assert key in report
@@ -132,13 +131,11 @@ class TestTrainPredictEval:
         path = tmp_path / "scored.csv"
         path.write_text("prediction,mos\n" + "".join(
             f"{p:.6f},{m:.2f}\n" for p, m in zip(pred, mos)))
-        out = tmp_path / "report.txt"
-        assert main(["eval", "--pred", str(path), "--out", str(out)]) == 0
-        assert out.read_text() == (
+        assert main(["eval", "--pred", str(path)]) == 0
+        assert capsys.readouterr().out == (
             "srcc=0.899506\nplcc_raw=0.902667\nplcc_4pl=0.913474\n"
             "beta1=4.635152\nbeta2=1.321367\nbeta3=-0.016741\n"
             "beta4=0.440566\nn=2000\n")
-        assert capsys.readouterr().out == out.read_text()
 
     @pytest.mark.parametrize("header", ["", "prediction,mos\n"])
     def test_eval_skips_a_leading_bom(self, tmp_path, capsys, header):
@@ -147,9 +144,8 @@ class TestTrainPredictEval:
         for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
             path = tmp_path / f"{name}.csv"
             path.write_bytes(prefix + text.encode())
-            out = tmp_path / f"{name}.txt"
-            assert main(["eval", "--pred", str(path), "--out", str(out)]) == 0
-            reports.append(out.read_text())
+            assert main(["eval", "--pred", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
         assert reports[0].endswith("n=6\n")
         assert reports[1] == reports[0]
 
@@ -560,7 +556,7 @@ class TestErrors:
         "registry.spatiotemporal_dim", "registry.spatial_tokens",
         "preproc.keyframe_min_side", "preproc.keyframe_crop",
         "preproc.crop_mode", "preproc.crop_seed", "preproc.chunk_size",
-        "gms.all_frames"])
+        "gms.all_frames", "ensemble.combiner"])
     def test_registry_widths_are_not_keys(self, workspace, capsys, key):
         code = main(["train", "--manifest",
                      str(workspace / "corpus" / "manifest.csv"),
@@ -574,7 +570,7 @@ class TestErrors:
         ("train", "registry", "toy, backbone"),
         ("train", "train.loss", "plcc, mse"),
         ("train", "split.grouping", "by-scene, by-video"),
-        ("ensemble", "ensemble.combiner", "mean, median"),
+        ("ensemble", "train.loss", "plcc, mse"),
         ("features", "split.grouping", "by-scene, by-video"),
         ("experiment", "split.grouping", "by-scene, by-video")])
     def test_enum_value_rejected_when_config_loads(self, workspace, capsys,
@@ -612,6 +608,18 @@ class TestErrors:
         assert exc.value.code == 2
         assert "invalid choice: 'gms'" in capsys.readouterr().err
         assert not (workspace / "never").exists()
+
+    def test_eval_takes_no_out(self, tmp_path, capsys):
+        # the report goes to stdout only
+        path = tmp_path / "scored.csv"
+        path.write_text("".join(f"0.{i}3,{i}\n" for i in range(1, 7)))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pred", str(path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == ("rqvqa: error: unrecognized arguments: --out "
+                             f"{tmp_path / 'o'}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,key", [
         ("train", "seed"), ("experiment", "seed"), ("ensemble", "seed"),

@@ -606,7 +606,7 @@ class TestAssembleBundle:
                      rng.standard_normal((1, 3)).astype(np.float32),
                      tmp_path / "ext_vid.rqvf")
         bundle = assemble_bundle(None, registry, sidecar_dir=tmp_path,
-                                 video_id="x")
+                                 video_id="x", extraction=EXTRACTION)
         assert bundle.n_keyframes == 5
 
         # the first per-index sidecar sets N_z; one that disagrees fails
@@ -616,11 +616,12 @@ class TestAssembleBundle:
         with pytest.raises(FeatureError, match=(
                 r"^x: ext_b: shape \(3, 2\) != expected \(5, 2\) "
                 r"\(N_z=5\)$")):
-            assemble_bundle(None, both, sidecar_dir=tmp_path, video_id="x")
+            assemble_bundle(None, both, sidecar_dir=tmp_path, video_id="x",
+                            extraction=EXTRACTION)
         # per-video sidecars alone do not say how many key frames there are
         with pytest.raises(FeatureError, match=(
                 "^x: cannot infer key-frame count from video-granularity "
                 "sidecars alone$")):
             assemble_bundle(None, (ext_vid,), sidecar_dir=tmp_path,
-                            video_id="x")
+                            video_id="x", extraction=EXTRACTION)
 

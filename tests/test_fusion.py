@@ -17,6 +17,7 @@ from rqvqa.features import (
     GRANULARITIES,
     ROLE_ORDER,
     TOY_EXTRACTORS,
+    ExtractionConfig,
     FeatureBundle,
     FeatureSource,
     assemble_bundle,
@@ -956,7 +957,8 @@ def sidecar_bundles(root, spatial_tokens, n=8):
                 rows /= rows.sum(axis=1, keepdims=True)
             save_sidecar(source, rows, root / f"v{v}" / f"{source.name}.rqvf")
         bundles.append(assemble_bundle(None, registry, root / f"v{v}",
-                                       video_id=f"v{v}"))
+                                       video_id=f"v{v}",
+                                       extraction=ExtractionConfig()))
     copies = [FeatureBundle(b.video_id, b.n_keyframes, {
         name: mat.astype(np.float64) for name, mat in b.matrices.items()})
         for b in bundles]

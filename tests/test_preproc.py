@@ -52,6 +52,15 @@ class TestRawVideoIO:
                 "meta.txt: not UTF-8 \\(invalid continuation byte\\)")):
             load_raw_video(tmp_path / "v")
 
+    def test_meta_skips_a_leading_bom(self, tmp_path, video):
+        save_raw_video(video, tmp_path / "v")
+        plain = load_raw_video(tmp_path / "v")
+        meta = tmp_path / "v" / "meta.txt"
+        meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())
+        loaded = load_raw_video(tmp_path / "v")
+        assert loaded.frame_rate == plain.frame_rate
+        np.testing.assert_array_equal(loaded.frames, plain.frames)
+
     def test_declared_frames_found_before_allocation(self, tmp_path):
         # 46.9 GiB of frames declared, none present: the missing last frame
         # fails the load before any frame buffer is allocated
