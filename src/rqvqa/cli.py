@@ -9,9 +9,14 @@ machine-parsable line on stderr: `error: <kind>: <message>`.
 from __future__ import annotations
 
 import argparse
+import codecs
+import csv
+import io
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
+
+import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ManifestError, RqvqaError
@@ -99,29 +104,81 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+# the bytes a body read by np.loadtxt may hold: no quote, since a quoted
+# field can span lines, and no control character but the line breaks
+_LOADTXT_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n\r"
+_HEAD_BYTES = 1 << 16   # the leading bytes searched for the header row
+
+
+def _loadtxt_columns(data: bytes) -> tuple | None:
+    """The (prediction, MOS) columns of the eval CSV bytes data, read with
+    one np.loadtxt call; None where only _row_loop may decide. The header, a
+    non-numeric first non-empty row, is found as _row_loop finds it, and must
+    end within _HEAD_BYTES. The body after it must hold only _LOADTXT_BYTES,
+    with no line over csv's field limit: on such a body loadtxt and _row_loop
+    accept the same files and read the same values."""
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:    # decoded up to the last whole character
+        head = codecs.getincrementaldecoder("utf-8")().decode(
+            data[bom:bom + _HEAD_BYTES])
+        buf = io.StringIO(head, newline="")
+        row = next(filter(None, csv.reader(buf)), [])
+    except (UnicodeError, csv.Error):
+        return None
+    if len(row) != 2 or buf.tell() == len(head):   # may go on past head
+        return None
+    try:
+        float(row[0]), float(row[1])
+        body = data[bom:]
+    except ValueError:
+        body = data[bom + len(head[:buf.tell()].encode()):]
+    breaks = np.flatnonzero(np.frombuffer(body, np.uint8) < 0x20)
+    longest = np.diff(breaks, prepend=-1, append=len(body)).max() - 1
+    if (body.translate(None, _LOADTXT_BYTES)
+            or longest > csv.field_size_limit()
+            or body.isspace()):     # loadtxt warns on a body with no data
+        return None
+    try:
+        table = np.loadtxt(
+            io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline=""),
+            delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return tuple(table.T) if table.shape[1] == 2 else None
+
+
+def _row_loop(path, data: bytes) -> tuple[list, list]:
+    """The (prediction, MOS) columns of data, the eval CSV read from path,
+    row by row; a ManifestError names the first row that is refused."""
     pred, mos = [], []
     first = True
-    with csv_reader(args.pred) as reader:
+    with csv_reader(path, data) as reader:
         for row in reader:
             if not row:
                 continue
             if len(row) != 2:
                 raise ManifestError(
-                    f"{args.pred}:{reader.line_num}: expected 2 columns")
+                    f"{path}:{reader.line_num}: expected 2 columns")
             try:
                 p, m = float(row[0]), float(row[1])
             except ValueError:
                 if not first:  # only the first non-empty row is a header
                     raise ManifestError(
-                        f"{args.pred}:{reader.line_num}: non-numeric row "
+                        f"{path}:{reader.line_num}: non-numeric row "
                         f"{row}") from None
                 first = False
                 continue
             first = False
             pred.append(p)
             mos.append(m)
-    report = evaluate(pred, mos)
+    return pred, mos
+
+
+def cmd_eval(args) -> int:
+    with open(args.pred, "rb") as fh:   # read once: it may be a pipe
+        data = fh.read()
+    columns = _loadtxt_columns(data) or _row_loop(args.pred, data)
+    report = evaluate(*columns)
     lines = [f"srcc={report.srcc:.6f}",
              f"plcc_raw={report.plcc_raw:.6f}",
              f"plcc_4pl={report.plcc_4pl:.6f}"]

@@ -14,6 +14,7 @@ individually re-runnable.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -73,11 +74,13 @@ class DatasetManifest:
 
 
 @contextmanager
-def csv_reader(path: str | Path):
-    """A csv reader over the UTF-8 text at path, a leading BOM skipped.
-    Bytes that do not decode, and a field over csv's size limit, fail as
-    one ManifestError."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+def csv_reader(path: str | Path, data: bytes | None = None):
+    """A csv reader over the UTF-8 text at path, or over data, the bytes
+    already read from path; a leading BOM is skipped. Bytes that do not
+    decode, and a field over csv's size limit, fail as one ManifestError."""
+    with (open(path, newline="", encoding="utf-8-sig") if data is None else
+          io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                           newline="")) as fh:
         reader = csv.reader(fh)
         try:
             yield reader

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import struct
+import threading
 import zlib
 from inspect import Parameter, signature
 
 import numpy as np
 import pytest
 
+from rqvqa import cli
 from rqvqa.cli import build_parser, main
 from rqvqa.features import (
     FeatureBundle,
@@ -32,6 +35,7 @@ from rqvqa.preproc import (
     save_raw_video,
 )
 
+import eval_oracle
 import toy_oracle
 from conftest import DESK_CFG
 from test_features import zero_count
@@ -191,6 +195,133 @@ class TestTrainPredictEval:
             (workspace / "r2.ckpt").read_bytes()
         assert (workspace / "r1.csv").read_bytes() == \
             (workspace / "r2.csv").read_bytes()
+
+
+# six rows that fit, as CI's eval CSV; each case below edits them
+ROWS = ["0.1,1", "0.3,2", "0.2,3", "0.6,4", "0.9,5", "0.8,4.5"]
+LIMIT = 131073          # one character over csv's default field limit
+
+
+def _eval_case(*rows, header="prediction,mos", end="\n"):
+    return ((header + end if header else "")
+            + end.join(rows) + end).encode("utf-8")
+
+
+# name: (file bytes, whether np.loadtxt reads them)
+EVAL_CASES = {
+    "header": (_eval_case(*ROWS), True),
+    "no_header": (_eval_case(*ROWS, header=""), True),
+    "bom": (b"\xef\xbb\xbf" + _eval_case(*ROWS), True),
+    "blank_lines": (_eval_case("", *ROWS[:3], "", "", *ROWS[3:]), True),
+    "space_line": (_eval_case(*ROWS[:3], "   ", *ROWS[3:]), False),
+    "tab_line": (_eval_case(*ROWS[:3], "\t", *ROWS[3:]), False),
+    "cr_only": (_eval_case(*ROWS, end="\r"), True),
+    "crlf": (_eval_case(*ROWS, end="\r\n"), True),
+    "no_final_newline": (_eval_case(*ROWS)[:-1], True),
+    "header_only": (_eval_case(), False),
+    "blank_body": (_eval_case("", " ", ""), False),
+    "empty": (b"", False),
+    "quoted_header": (_eval_case(*ROWS, header='"prediction","mos"'), True),
+    "quoted": (_eval_case('"0.1","1"', *ROWS[1:]), False),
+    "quoted_newline": (_eval_case('"0.1\n",1', *ROWS[1:]), False),
+    # each line is short, the field is over csv's limit
+    "quoted_lines_over_limit": (
+        _eval_case('"0.1' + "\n" * LIMIT + '",1', *ROWS[1:]), False),
+    "field_over_limit": (_eval_case("0." + "1" * LIMIT + ",1", *ROWS[1:]),
+                         False),
+    "spaces_around": (_eval_case(" 0.1 ,1", *ROWS[1:]), True),
+    "quote_then_space": (_eval_case('"0.1" ,1', *ROWS[1:]), False),
+    **{f"char_{ord(c):02x}": (_eval_case(f"0.1{c},1", *ROWS[1:]), False)
+       for c in "\x0b\x0c\x1c\x1d\x1e\x1f\x00\xa0\x85"},
+    "full_width_digit": (_eval_case("0.\uff11,1", *ROWS[1:]), False),
+    "underscore": (_eval_case("1_0,1", *ROWS[1:]), False),
+    "nan": (_eval_case("nan,1", *ROWS[1:]), True),
+    "infinity": (_eval_case(*ROWS[:2], "0.2,Infinity", *ROWS[3:]), True),
+    "overflow": (_eval_case("1e400,1", *ROWS[1:]), True),
+    "trailing_comma": (_eval_case("0.1,1,", *ROWS[1:]), False),
+    "one_column": (_eval_case(*ROWS[:3], "0.6", *ROWS[4:]), False),
+    "three_columns": (_eval_case(*ROWS[:3], "0.6,4,9", *ROWS[4:]), False),
+    "one_column_body": (_eval_case(*(r.split(",")[0] for r in ROWS)), False),
+    "three_column_body": (_eval_case(*(r + ",9" for r in ROWS)), False),
+    "non_numeric": (_eval_case(*ROWS[:3], "bad,4", *ROWS[4:]), False),
+    "non_ascii_header": (_eval_case(*ROWS, header="prédiction,mos"), True),
+    # the body starts 4 bytes past the header's 10 characters, not at "5,1"
+    "non_ascii_header_digits": (_eval_case(*ROWS, header="éééé0.5,1"), True),
+    # the header row ends past the bytes searched for it
+    "long_header": (_eval_case(*ROWS, header="p" * 70000 + ",mos"), False),
+    # ... and cut there, it would be a 2-column header, not a 3-column row
+    "row_past_head": (_eval_case(*ROWS, header="x," + "1" * 70000 + ",1"),
+                      False),
+    "blank_lines_before_header": (b"\n" * 70000 + _eval_case(*ROWS), False),
+}
+
+
+class TestEvalParsePaths:
+    """`rqvqa eval` reads a plain body with one np.loadtxt call and any other
+    file with the row loop; both give the row loop's report or error."""
+
+    @staticmethod
+    def run(path, capsys):
+        """(exit code, stdout, stderr) of `rqvqa eval` on path."""
+        return (main(["eval", "--pred", str(path)]), *capsys.readouterr())
+
+    def oracle_run(self, path, capsys, monkeypatch):
+        """run() with the fast path off and the oracle's row loop in place,
+        which reads path itself."""
+        monkeypatch.setattr(cli, "_loadtxt_columns", lambda data: None)
+        monkeypatch.setattr(cli, "_row_loop",
+                            lambda path, data: eval_oracle.row_loop(path))
+        return self.run(path, capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", EVAL_CASES)
+    def test_loadtxt_path_matches_the_row_loop(self, tmp_path, capsys,
+                                              monkeypatch, name):
+        data, fast = EVAL_CASES[name]
+        path = tmp_path / "scored.csv"
+        path.write_bytes(data)
+        assert (cli._loadtxt_columns(data) is not None) == fast
+        got = self.run(path, capsys)
+        assert got == self.oracle_run(path, capsys, monkeypatch)
+
+    # a pipe can be read only once, whichever path takes its bytes
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("name", ["header", "crlf", "quoted",
+                                      "underscore", "non_numeric"])
+    def test_named_pipe_matches_the_row_loop(self, tmp_path, capsys,
+                                             monkeypatch, name):
+        data = EVAL_CASES[name][0]
+        path = tmp_path / "scored.csv"
+        os.mkfifo(path)
+        done = threading.Event()
+
+        def serve():
+            path.write_bytes(data)  # blocks until eval opens the pipe
+            while not done.wait(0.05):  # a second open reads no bytes
+                try:
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:     # no reader has the pipe open
+                    pass
+        writer = threading.Thread(target=serve, daemon=True)
+        writer.start()
+        got = self.run(path, capsys)
+        done.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        path.unlink()
+        path.write_bytes(data)      # the oracle reads the same bytes
+        assert got == self.oracle_run(path, capsys, monkeypatch)
+        assert got[0] == (1 if name == "non_numeric" else 0)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_matches_the_row_loop(self, tmp_path, capsys,
+                                                 monkeypatch, kind):
+        path = tmp_path / "scored.csv"
+        if kind == "directory":
+            path.mkdir()
+        got = self.run(path, capsys)
+        assert got == self.oracle_run(path, capsys, monkeypatch)
+        assert got[0] == 1 and got[2].startswith("error: ")
 
 
 class TestTrainSeed:
@@ -573,10 +704,11 @@ class TestErrors:
         ("ensemble", "train.loss", "plcc, mse"),
         ("features", "split.grouping", "by-scene, by-video"),
         ("experiment", "split.grouping", "by-scene, by-video")])
-    def test_enum_value_rejected_when_config_loads(self, workspace, capsys,
-                                                   command, key, choices):
+    def test_enum_value_rejected_when_config_loads(self, workspace, tmp_path,
+                                                   capsys, command, key,
+                                                   choices):
         corpus = workspace / "corpus"
-        out = ["--out", str(workspace / "never")]
+        out = ["--out", str(tmp_path / "never")]
         inputs = {"train": ["--manifest", str(corpus / "manifest.csv"), *out],
                   "ensemble": ["--train-manifest",
                                str(corpus / "manifest.csv"), *out],
@@ -589,25 +721,25 @@ class TestErrors:
         err = capsys.readouterr().err.strip()
         assert err == (f"error: ConfigError: {key}: expected one of "
                        f"{choices}, got 'mode'")
-        assert not (workspace / "never").exists()
+        assert not (tmp_path / "never").exists()
 
-    def test_preprocess_is_not_a_command(self, workspace, capsys):
+    def test_preprocess_is_not_a_command(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["preprocess", "--video",
                   str(workspace / "corpus" / "scene0000_v0"),
-                  "--out", str(workspace / "never")])
+                  "--out", str(tmp_path / "never")])
         assert exc.value.code == 2
         assert "invalid choice: 'preprocess'" in capsys.readouterr().err
-        assert not (workspace / "never").exists()
+        assert not (tmp_path / "never").exists()
 
-    def test_gms_is_not_a_command(self, workspace, capsys):
+    def test_gms_is_not_a_command(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gms", "--video",
                   str(workspace / "corpus" / "scene0000_v0"),
-                  "--out", str(workspace / "never")])
+                  "--out", str(tmp_path / "never")])
         assert exc.value.code == 2
         assert "invalid choice: 'gms'" in capsys.readouterr().err
-        assert not (workspace / "never").exists()
+        assert not (tmp_path / "never").exists()
 
     def test_eval_takes_no_out(self, tmp_path, capsys):
         # the report goes to stdout only
@@ -624,11 +756,12 @@ class TestErrors:
     @pytest.mark.parametrize("command,key", [
         ("train", "seed"), ("experiment", "seed"), ("ensemble", "seed"),
         ("features", "gms.seed"), ("train", "gms.seed")])
-    def test_negative_seed_rejected_when_config_loads(self, workspace, capsys,
+    def test_negative_seed_rejected_when_config_loads(self, workspace,
+                                                      tmp_path, capsys,
                                                       command, key):
         corpus = workspace / "corpus"
         manifest = str(corpus / "manifest.csv")
-        out = ["--out", str(workspace / "never")]
+        out = ["--out", str(tmp_path / "never")]
         inputs = {"train": ["--manifest", manifest, *out],
                   "experiment": ["--manifest", manifest, "--repeats", "1"],
                   "ensemble": ["--train-manifest", manifest, "--k", "2",
@@ -641,7 +774,7 @@ class TestErrors:
         assert captured.err == (f"error: ConfigError: {key}: expected an "
                                 f"integer >= 0, got '-1'\n")
         assert captured.out == ""
-        assert not (workspace / "never").exists()
+        assert not (tmp_path / "never").exists()
 
     # `features` writes <out>/<video_id>/<source>.rqvf
     @pytest.mark.parametrize("video_id", [

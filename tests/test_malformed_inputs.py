@@ -154,6 +154,8 @@ def test_fuzzed_config(corpus, ops):
 @given(MUTATIONS)
 @example([("replace", 0, 0xFF)])              # not UTF-8
 @example([("repeat", 0, FIELD_LIMIT)])        # a field over csv's limit
+@example([("insert", 19, 0x1E)])              # 0.00\x1e, which float refuses
+@example([("repeat", 15, FIELD_LIMIT)])       # a data field over csv's limit
 @example([("replace", 15, ord("1")), ("replace", 16, ord("e")),
           ("replace", 17, ord("2")), ("insert", 19, ord("0"))])   # 1e200
 def test_fuzzed_eval_csv(corpus, ops):
