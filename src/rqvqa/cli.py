@@ -104,9 +104,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-# the bytes a body read by np.loadtxt may hold: no quote, since a quoted
-# field can span lines, and no control character but the line breaks
-_LOADTXT_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n\r"
+# the bytes a body read by np.loadtxt may hold: no quote (a quoted field can
+# span lines), no _ (loadtxt refuses it), no control but the line breaks
+_LOADTXT_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"_') + b"\n\r"
 _HEAD_BYTES = 1 << 16   # the leading bytes searched for the header row
 
 

@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .features import ExtractionConfig
 from .fusion import LOSSES, TrainConfig
 from .harness import GROUPINGS, SplitConfig
+from .preproc import read_key_values, split_key_value
 
 # backbone sources take their widths from the first video's sidecar headers
 REGISTRIES = ("toy", "backbone")
@@ -89,30 +90,17 @@ def load_config(path: str | Path | None = None,
     settings: dict[str | None, dict[str, object]] = {}
 
     def collect(key: str, value: str):
-        section, attr, parsed = _parse_setting(key.strip(), value.strip())
+        section, attr, parsed = _parse_setting(key, value)
         settings.setdefault(section, {})[attr] = parsed
 
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file {path} not found")
-        try:
-            text = path.read_text(encoding="utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
+        for _, key, value in read_key_values(path, ConfigError):
             collect(key, value)
     for item in overrides or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        collect(key, value)
+        collect(*split_key_value(item, f"override {item!r}", ConfigError))
 
     cfg = RunConfig(
         train=TrainConfig(**settings.get("train", {})),

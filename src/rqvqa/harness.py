@@ -100,16 +100,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(
                 f"{path}: header {header} != {MANIFEST_HEADER}")
         records = []
-        for lineno, row in enumerate(reader, 2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 4:
-                raise ManifestError(f"{path}:{lineno}: expected 4 columns")
+                raise ManifestError(
+                    f"{path}:{reader.line_num}: expected 4 columns")
             try:
                 mos = float(row[2])
             except ValueError:
                 raise ManifestError(
-                    f"{path}:{lineno}: bad mos {row[2]!r}") from None
+                    f"{path}:{reader.line_num}: bad mos {row[2]!r}") from None
             video_path = row[1]
             if not Path(video_path).is_absolute():
                 video_path = str(path.absolute().parent / video_path)

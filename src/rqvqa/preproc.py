@@ -1,9 +1,9 @@
-"""Video representation, key-frame/chunk extraction, and resizing.
+"""Raw videos, key frames and chunks, resizing, and the key=value reader.
 
 Videos are plain directories of raw RGB frames plus a tiny metadata file, so
 everything stays deterministic and decoder-free:
 
-    meta.txt            four lines: width=, height=, fps=, frames=
+    meta.txt            the four keys width, height, fps, frames as key=value
     frame_000000.rgb    height*width*3 bytes, row-major, interleaved RGB
 
 All operations are pure; resizing uses bilinear interpolation with half-pixel
@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, VideoFormatError
+from .errors import VideoFormatError
 
 META_NAME = "meta.txt"
+META_KEYS = ("width", "height", "fps", "frames")
 FRAME_PATTERN = "frame_{:06d}.rgb"
 
 
@@ -74,27 +75,16 @@ def load_raw_video(directory: str | Path) -> VideoFrames:
     if not meta_path.is_file():
         raise VideoFormatError(f"{meta_path} missing")
 
-    try:
-        text = meta_path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise VideoFormatError(
-            f"{meta_path}: not UTF-8 ({exc.reason})") from None
     meta: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise VideoFormatError(f"{meta_path}:{lineno}: expected key=value")
+    for where, key, value in read_key_values(meta_path, VideoFormatError):
+        if key not in META_KEYS:
+            raise VideoFormatError(f"{where}: unknown key {key!r}")
         try:
-            meta[key.strip()] = int(value.strip())
+            meta[key] = int(value)
         except ValueError:
             raise VideoFormatError(
-                f"{meta_path}:{lineno}: {key.strip()} must be an integer, "
-                f"got {value.strip()!r}"
-            ) from None
-    missing = [k for k in ("width", "height", "fps", "frames") if k not in meta]
+                f"{where}: {key} must be an integer, got {value!r}") from None
+    missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise VideoFormatError(f"{meta_path}: missing keys {missing}")
 
@@ -162,26 +152,43 @@ def _resize_axis(img: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     src = np.clip(src, 0.0, in_len - 1)
     i0 = np.floor(src).astype(np.int64)
     i1 = np.minimum(i0 + 1, in_len - 1)
-    frac = src - i0
-    a = np.take(img, i0, axis=axis).astype(np.float64)
-    b = np.take(img, i1, axis=axis).astype(np.float64)
     shape = [1] * img.ndim
     shape[axis] = out_len
-    frac = frac.reshape(shape)
-    return a * (1.0 - frac) + b * frac
+    frac = (src - i0).reshape(shape)
+    return (np.take(img, i0, axis=axis) * (1.0 - frac)
+            + np.take(img, i1, axis=axis) * frac)
 
 
 def resize_exact(frame: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Scale to width x height, ignoring aspect ratio."""
-    if width < 1 or height < 1:
-        raise GeometryError(f"target must be >= 1, got {width}x{height}")
-    h, w = frame.shape[:2]
-    if h < 1 or w < 1:
-        raise GeometryError("zero-sized frame")
-    if (height, width) == (h, w):
-        return frame.copy()  # bit-exact pass-through
-    out = _resize_axis(frame, height, axis=0)
-    out = _resize_axis(out, width, axis=1)
-    if np.issubdtype(frame.dtype, np.integer):
-        return np.clip(np.rint(out), 0, 255).astype(frame.dtype)
-    return out
+    """Bilinear resample of a float (H, W, C) frame to (height, width, C),
+    ignoring aspect ratio."""
+    return _resize_axis(_resize_axis(frame, height, axis=0), width, axis=1)
+
+
+def split_key_value(text: str, where: str, error: type[Exception]):
+    """text split at its first `=`, both sides stripped; error names where."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise error(f"{where}: expected key=value")
+    return key.strip(), value.strip()
+
+
+def read_key_values(path: Path, error: type[Exception]):
+    """Yield (path:line, key, value) per line of the UTF-8 file at path that
+    is not blank or a `#` comment; a leading BOM is skipped. Bad UTF-8, a
+    line without `=` and a repeated key raise error."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason})") from None
+    seen = set()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        key, value = split_key_value(line, where, error)
+        if key in seen:
+            raise error(f"{where}: key {key!r} repeated")
+        seen.add(key)
+        yield where, key, value

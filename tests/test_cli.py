@@ -284,6 +284,16 @@ class TestEvalParsePaths:
         got = self.run(path, capsys)
         assert got == self.oracle_run(path, capsys, monkeypatch)
 
+    # float() reads _ as a digit separator and loadtxt refuses it, so such
+    # a body goes to the row loop without a loadtxt parse
+    def test_underscore_body_skips_loadtxt(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+        monkeypatch.setattr(cli.np, "loadtxt", refuse)
+        data, fast = EVAL_CASES["underscore"]
+        assert not fast
+        assert cli._loadtxt_columns(data) is None
+
     # a pipe can be read only once, whichever path takes its bytes
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("name", ["header", "crlf", "quoted",

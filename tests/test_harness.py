@@ -115,11 +115,18 @@ class TestManifest:
             f"{tmp_path / 'old' / 'old' / 'scene0000_v0'} is not a directory "
             f"(a relative path resolves against the manifest's directory)")
 
-    def test_bad_mos_rejected(self, tmp_path):
+    # a row is named by its last physical line, as csv.reader counts them
+    @pytest.mark.parametrize("rows,message", [
+        ("v1,/x,abc,s1\n", "2: bad mos 'abc'"),
+        ('v1,/x,1.0,"s\n1"\nv2,/y,bad,s2\n', "4: bad mos 'bad'"),
+        ('v1,/x,1.0,"s\n1"\nv2,/y,2.0\n', "4: expected 4 columns"),
+    ], ids=["one_line", "after_two_line_row", "columns_after_two_line_row"])
+    def test_bad_row_rejected_by_line(self, tmp_path, rows, message):
         path = tmp_path / "m.csv"
-        path.write_text("video_id,path,mos,scene_id\nv1,/x,abc,s1\n")
-        with pytest.raises(ManifestError, match="bad mos"):
+        path.write_text("video_id,path,mos,scene_id\n" + rows)
+        with pytest.raises(ManifestError) as info:
             load_manifest(path)
+        assert str(info.value) == f"{path}:{message}"
 
 
 class TestSplit:
@@ -399,10 +406,12 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text(
             "# comment\nseed = 9\ntrain.hidden = 64\ngms.grid_count = 4\n")
+        # overrides are not a file: a repeated one wins over the earlier
         cfg = load_config(path, overrides=["train.hidden=32",
-                                           "split.ratio=0.7"])
+                                           "split.ratio=0.7",
+                                           "train.hidden=16"])
         assert cfg.seed == 9
-        assert cfg.train.hidden == 32
+        assert cfg.train.hidden == 16
         assert cfg.extraction.gms_grid_count == 4
         assert cfg.split.ratio == 0.7
 
@@ -412,6 +421,21 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.seed == 9
         assert cfg.extraction.gms_grid_count == 4
+
+    @pytest.mark.parametrize("text,overrides,message", [
+        ("seed = 9\n\n# seed = 8\nseed = 9\n", [], "4: key 'seed' repeated"),
+        ("seed = 9\ntrain.hidden\n", [], "2: expected key=value"),
+        ("seed = 9\n", ["seed"], "override 'seed': expected key=value"),
+    ], ids=["repeated_key", "no_equals", "override_no_equals"])
+    def test_refusal_names_the_line(self, tmp_path, text, overrides,
+                                    message):
+        from rqvqa.errors import ConfigError
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path, overrides)
+        where = "" if overrides else f"{path}:"
+        assert str(info.value) == where + message
 
     def test_readme_config_block_lists_every_key_with_its_default(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqvqa.errors import GeometryError, VideoFormatError
+from rqvqa.errors import VideoFormatError
 from rqvqa.preproc import (
     VideoFrames,
     extract_chunks,
@@ -52,14 +52,40 @@ class TestRawVideoIO:
                 "meta.txt: not UTF-8 \\(invalid continuation byte\\)")):
             load_raw_video(tmp_path / "v")
 
-    def test_meta_skips_a_leading_bom(self, tmp_path, video):
+    @pytest.mark.parametrize("spell", [
+        lambda text: "\ufeff" + text,
+        lambda text: "# written by save_raw_video\n" + text,
+        lambda text: text.replace("width=16", " width = 16 "),
+        lambda text: text.replace("\n", "\r\n"),
+    ], ids=["bom", "comment", "spaces", "crlf"])
+    def test_meta_spellings_load_the_same_video(self, tmp_path, video, spell):
         save_raw_video(video, tmp_path / "v")
         plain = load_raw_video(tmp_path / "v")
         meta = tmp_path / "v" / "meta.txt"
-        meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())
+        text = meta.read_text(encoding="utf-8")
+        assert spell(text) != text
+        meta.write_bytes(spell(text).encode("utf-8"))
         loaded = load_raw_video(tmp_path / "v")
         assert loaded.frame_rate == plain.frame_rate
         np.testing.assert_array_equal(loaded.frames, plain.frames)
+
+    @pytest.mark.parametrize("lines,message", [
+        ("width=16\nheight=16\nfoo=7\nfps=4\nframes=8",
+         "3: unknown key 'foo'"),
+        ("width=16\nheight=16\nfps=4\nframes=8\nwidth=16",
+         "5: key 'width' repeated"),
+        ("width=16\nheight\nfps=4\nframes=8", "2: expected key=value"),
+        ("width=16\nheight=1.5\nfps=4\nframes=8",
+         "2: height must be an integer, got '1.5'"),
+    ], ids=["unknown_key", "repeated_key", "no_equals", "not_integer"])
+    def test_meta_refusal_names_the_line(self, tmp_path, video, lines,
+                                         message):
+        save_raw_video(video, tmp_path / "v")
+        meta = tmp_path / "v" / "meta.txt"
+        meta.write_text(lines + "\n")
+        with pytest.raises(VideoFormatError) as info:
+            load_raw_video(tmp_path / "v")
+        assert str(info.value) == f"{meta}:{message}"
 
     def test_declared_frames_found_before_allocation(self, tmp_path):
         # 46.9 GiB of frames declared, none present: the missing last frame
@@ -153,25 +179,20 @@ class TestKeyFramesAndChunks:
 
 class TestResize:
     def test_exact_shape_contract(self):
-        frame = np.zeros((1080, 1920, 3), dtype=np.uint8)
+        frame = np.zeros((1080, 1920, 3))
         assert resize_exact(frame, 224, 224).shape == (224, 224, 3)
 
     def test_exact_identity_pass_through(self):
         rng = np.random.default_rng(1)
-        frame = rng.integers(0, 256, size=(224, 224, 3), dtype=np.uint8)
+        frame = rng.uniform(0.0, 255.0, size=(224, 224, 3))
         np.testing.assert_array_equal(resize_exact(frame, 224, 224), frame)
 
     def test_constant_color_stays_constant(self):
-        frame = np.full((50, 70, 3), 137, dtype=np.uint8)
+        frame = np.full((50, 70, 3), 137.0)
         for w, h in ((224, 224), (33, 91), (7, 5)):
             out = resize_exact(frame, w, h)
             assert out.shape == (h, w, 3)
             assert np.all(out == 137)
-
-    def test_zero_target_rejected(self):
-        frame = np.zeros((10, 10, 3), dtype=np.uint8)
-        with pytest.raises(GeometryError):
-            resize_exact(frame, 0, 5)
 
     def test_bilinear_midpoint_value(self):
         # downscale 2x along one axis averages neighbour pairs exactly
@@ -179,4 +200,3 @@ class TestResize:
         frame[:, :, 0] = [[0, 10, 20, 30], [0, 10, 20, 30]]
         out = resize_exact(frame, 2, 2)
         np.testing.assert_allclose(out[:, :, 0], [[5, 25], [5, 25]])
-
